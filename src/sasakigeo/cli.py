@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -24,8 +23,6 @@ EXIT_PASS = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 EXIT_BUDGET = 3
-
-THREADS_ENV = "SASAKIGEO_THREADS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,12 +49,20 @@ def _np_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _emit(report: dict, path: str | None) -> None:
+def _emit(args, body: dict) -> None:
+    """Write ``body`` under the report header shared by every command."""
+    report = {
+        "schema": 1,
+        "timestamp": _utc_now(),
+        "command": args.command,
+        "model": args.model,
+        **body,
+    }
     text = json.dumps(report, indent=2, default=_np_default)
-    if path is None:
+    if args.output is None:
         print(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
 
 
@@ -66,21 +71,13 @@ def _parse_vector(text: str, expected_dim: int | None = None) -> np.ndarray:
         vec = np.array([float(tok) for tok in text.split(",")], dtype=float)
     except ValueError as exc:
         raise ValueError(f"malformed vector {text!r}: {exc}") from exc
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"vector {text!r} has non-finite components")
     if expected_dim is not None and vec.shape != (expected_dim,):
         raise ValueError(
             f"vector {text!r} has {vec.size} components, expected {expected_dim}"
         )
     return vec
-
-
-def _default_threads() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def _base_point(model) -> np.ndarray:
@@ -102,10 +99,6 @@ def _cmd_check_identities(args) -> int:
     pts = model.random_points(rng, args.points)
     report = core.verify_structure(model, points=pts, tol=args.tol)
     payload = {
-        "schema": 1,
-        "timestamp": _utc_now(),
-        "command": "check-identities",
-        "model": args.model,
         "points": args.points,
         "seed": args.seed,
         "identities": [
@@ -119,7 +112,7 @@ def _cmd_check_identities(args) -> int:
         ],
         "passed": report.passed,
     }
-    _emit(payload, args.output)
+    _emit(args, payload)
     return EXIT_PASS if report.passed else EXIT_INVARIANT
 
 
@@ -158,10 +151,6 @@ def _cmd_geodesic(args) -> int:
         np.savetxt(args.csv, table, delimiter=",", header=",".join(cols), comments="")
     ok = inv.passed(args.mode) and residual.passed
     payload = {
-        "schema": 1,
-        "timestamp": _utc_now(),
-        "command": "geodesic",
-        "model": args.model,
         "mode": args.mode,
         "t_end": args.t_end,
         "steps": steps,
@@ -176,7 +165,7 @@ def _cmd_geodesic(args) -> int:
         "equation_residual": residual.max_residual,
         "passed": ok,
     }
-    _emit(payload, args.output)
+    _emit(args, payload)
     return EXIT_PASS if ok else EXIT_INVARIANT
 
 
@@ -189,10 +178,6 @@ def _cmd_cc_distance(args) -> int:
     )
     result = subriemannian.cc_distance(model, p, q, cfg)
     payload = {
-        "schema": 1,
-        "timestamp": _utc_now(),
-        "command": "cc-distance",
-        "model": args.model,
         "from": list(p),
         "to": list(q),
         "seed": args.seed,
@@ -203,7 +188,7 @@ def _cmd_cc_distance(args) -> int:
         "alpha0_boundary": result.alpha0_boundary,
         "widened_to": result.widened_to,
     }
-    _emit(payload, args.output)
+    _emit(args, payload)
     return EXIT_PASS if result.converged else EXIT_BUDGET
 
 
@@ -216,10 +201,6 @@ def _cmd_diameter(args) -> int:
     bound = subriemannian.theoretical_diameter_bound(model)
     within = bound is None or report.estimate <= bound * (1.0 + 1e-2)
     payload = {
-        "schema": 1,
-        "timestamp": _utc_now(),
-        "command": "diameter",
-        "model": args.model,
         "pairs": args.pairs,
         "seed": args.seed,
         "estimate": report.estimate,
@@ -237,7 +218,7 @@ def _cmd_diameter(args) -> int:
             for pr in report.pairs
         ],
     }
-    _emit(payload, args.output)
+    _emit(args, payload)
     if report.partial:
         return EXIT_BUDGET
     return EXIT_PASS if within else EXIT_INVARIANT
@@ -259,14 +240,10 @@ def _cmd_second_variation(args) -> int:
     path, result = _converged_geodesic(model, args.seed)
     if path is None:
         payload = {
-            "schema": 1,
-            "timestamp": _utc_now(),
-            "command": "second-variation",
-            "model": args.model,
             "seed": args.seed,
             "status": result.status,
         }
-        _emit(payload, args.output)
+        _emit(args, payload)
         return EXIT_BUDGET
     frame = variations.transport_frame(
         model, path, variations.initial_transverse_frame(model, path)
@@ -290,10 +267,6 @@ def _cmd_second_variation(args) -> int:
         if f.admissibility_residual > 1e-6 or e2 < -1e-5:
             ok = False
     payload = {
-        "schema": 1,
-        "timestamp": _utc_now(),
-        "command": "second-variation",
-        "model": args.model,
         "seed": args.seed,
         "status": result.status,
         "length": float(path.t[-1]),
@@ -314,7 +287,7 @@ def _cmd_second_variation(args) -> int:
         "fields": field_rows,
         "passed": ok,
     }
-    _emit(payload, args.output)
+    _emit(args, payload)
     return EXIT_PASS if ok else EXIT_INVARIANT
 
 
@@ -352,17 +325,13 @@ def _cmd_myers_verify(args) -> int:
         if not (cert.passed and cert.length_within_bound):
             all_pass = False
     payload = {
-        "schema": 1,
-        "timestamp": _utc_now(),
-        "command": "myers-verify",
-        "model": args.model,
         "seed": args.seed,
         "tau": tau,
         "bound": bound,
         "certificates": rows,
         "passed": all_pass,
     }
-    _emit(payload, args.output)
+    _emit(args, payload)
     if not all_pass:
         return EXIT_INVARIANT
     return EXIT_BUDGET if any_budget else EXIT_PASS
@@ -394,10 +363,6 @@ def _cmd_dhomothety(args) -> int:
         }
         ok = ok and ricci.passed()
     payload = {
-        "schema": 1,
-        "timestamp": _utc_now(),
-        "command": "dhomothety",
-        "model": args.model,
         "mu": args.mu,
         "seed": args.seed,
         "structure_passed": structure.passed,
@@ -410,7 +375,7 @@ def _cmd_dhomothety(args) -> int:
         "ricci_bound": ricci_section,
         "passed": ok,
     }
-    _emit(payload, args.output)
+    _emit(args, payload)
     return EXIT_PASS if ok else EXIT_INVARIANT
 
 
@@ -450,10 +415,6 @@ def _cmd_functionals(args) -> int:
         and calibration.constant == 0.5
     )
     payload = {
-        "schema": 1,
-        "timestamp": _utc_now(),
-        "command": "functionals",
-        "model": args.model,
         "potential": {
             "source": source,
             "amplitude": phi.amplitude,
@@ -479,7 +440,7 @@ def _cmd_functionals(args) -> int:
         },
         "passed": ok,
     }
-    _emit(payload, args.output)
+    _emit(args, payload)
     return EXIT_PASS if ok else EXIT_INVARIANT
 
 
@@ -499,8 +460,7 @@ def build_parser() -> _Parser:
             "Model keys: s3, s5, heisenberg, s3-dhom:<mu>.  CSV path dumps "
             "have columns t, x0..x(d-1), v0..v(d-1), alpha0, H.  Exit codes: "
             "0 pass, 1 usage error, 2 failed invariant, 3 search budget "
-            "exhausted.  The default thread count reads the "
-            f"{THREADS_ENV} environment variable."
+            "exhausted."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -536,7 +496,7 @@ def build_parser() -> _Parser:
 
     p = add("diameter", _cmd_diameter, "diameter estimate over random pairs")
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=1)
 
     add("second-variation", _cmd_second_variation, "variation identities and energies")
 

@@ -39,8 +39,6 @@ from .numdiff import directional_derivative, fd_hessian_diagonal_sum
 
 __all__ = [
     "SasakiModel",
-    "Point",
-    "TangentVector",
     "IdentityResult",
     "StructureReport",
     "CurvatureReport",
@@ -237,45 +235,6 @@ def _generic_seed_vectors(m: int) -> np.ndarray:
         rng = np.random.default_rng(20260826 + m)
         _SEED_CACHE[m] = rng.standard_normal((m + 2, m))
     return _SEED_CACHE[m]
-
-
-# ---------------------------------------------------------------------------
-# Small validated containers used at API boundaries.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Point:
-    """A validated on-manifold point."""
-
-    model_key: str
-    coords: np.ndarray
-
-    @classmethod
-    def on(cls, model: SasakiModel, coords: np.ndarray, tol: float = 1e-9) -> "Point":
-        coords = np.asarray(coords, dtype=float)
-        res = float(model.constraint_residual(coords))
-        if res > tol:
-            raise ValueError(f"point off the constraint set (residual {res:.3e})")
-        return cls(model.key, coords)
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """A vector attached to a base point, checked for tangency."""
-
-    base: Point
-    components: np.ndarray
-
-    @classmethod
-    def at(
-        cls, model: SasakiModel, base: Point, components: np.ndarray, tol: float = 1e-9
-    ) -> "TangentVector":
-        components = np.asarray(components, dtype=float)
-        gap = components - model.tangent_project(base.coords, components)
-        if float(np.max(np.abs(gap), initial=0.0)) > tol:
-            raise ValueError("vector is not tangent at the base point")
-        return cls(base, components)
 
 
 # ---------------------------------------------------------------------------

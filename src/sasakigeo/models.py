@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SasakiModel
+from .core import SasakiModel, _dot
 
 __all__ = [
     "SphereModel",
@@ -37,10 +37,6 @@ __all__ = [
     "get_model",
     "MODEL_KEYS",
 ]
-
-
-def _dot(u, v):
-    return np.sum(u * v, axis=-1)
 
 
 class SphereModel(SasakiModel):
@@ -98,9 +94,6 @@ class SphereModel(SasakiModel):
     def gamma(self, x, u, w):
         return _dot(u, w)[..., None] * x
 
-    def curvature(self, x, X, Y, Z, W):
-        return _dot(Y, Z) * _dot(X, W) - _dot(X, Z) * _dot(Y, W)
-
     def curvature_op(self, x, X, Y, Z):
         return _dot(Y, Z)[..., None] * X - _dot(X, Z)[..., None] * Y
 
@@ -140,9 +133,6 @@ class SphereModel(SasakiModel):
         return x, a - _dot(a, x)[..., None] * x
 
     # -- sphere-only conveniences -----------------------------------------
-    def riemannian_distance(self, p, q):
-        return np.arccos(np.clip(_dot(p, q), -1.0, 1.0))
-
     def closed_form_geodesic(self, p, u, a0, t):
         """Exact normal geodesic: e^{-a0 t J}(cos(w t) p + sin(w t) W).
 
@@ -239,21 +229,6 @@ class HeisenbergModel(SasakiModel):
             ],
             axis=-1,
         )
-
-    def curvature(self, x, X, Y, Z, W):
-        cX = self._frame_coeffs(x, X)
-        cY = self._frame_coeffs(x, Y)
-        cZ = self._frame_coeffs(x, Z)
-        cW = self._frame_coeffs(x, W)
-
-        def wedge(a, b, i, j):
-            return a[i] * b[j] - a[j] * b[i]
-
-        # frame components: R_1221 = -3, R_1331 = R_2332 = 1
-        total = -3.0 * wedge(cX, cY, 0, 1) * wedge(cW, cZ, 0, 1)
-        total += wedge(cX, cY, 0, 2) * wedge(cW, cZ, 0, 2)
-        total += wedge(cX, cY, 1, 2) * wedge(cW, cZ, 1, 2)
-        return total
 
     def _from_frame_coeffs(self, x, b1, b2, b3):
         y = x[..., 1]
@@ -370,35 +345,27 @@ def make_heisenberg() -> HeisenbergModel:
     return HeisenbergModel()
 
 
-class _Registry:
-    def __init__(self):
-        self._base = {
-            "s3": lambda: SphereModel(1),
-            "s5": lambda: SphereModel(2),
-            "heisenberg": HeisenbergModel,
-        }
-
-    def parse(self, key: str) -> SasakiModel:
-        key = key.strip().lower()
-        if key in self._base:
-            return self._base[key]()
-        if key.startswith("s3-dhom:"):
-            from .dhomothety import apply as dhom_apply
-
-            try:
-                mu = float(key.split(":", 1)[1])
-            except ValueError as exc:
-                raise KeyError(f"bad deformation ratio in model key {key!r}") from exc
-            if mu <= 0:
-                raise KeyError("deformation ratio must be positive")
-            return dhom_apply(SphereModel(1), mu)
-        raise KeyError(f"unknown model key {key!r}")
-
-
-_REGISTRY = _Registry()
+_BASE_MODELS = {
+    "s3": lambda: SphereModel(1),
+    "s5": lambda: SphereModel(2),
+    "heisenberg": HeisenbergModel,
+}
 MODEL_KEYS = ("s3", "s5", "heisenberg", "s3-dhom:<mu>")
 
 
 def get_model(key: str) -> SasakiModel:
     """Resolve a CLI/model key: s3, s5, heisenberg, or s3-dhom:<mu>."""
-    return _REGISTRY.parse(key)
+    key = key.strip().lower()
+    if key in _BASE_MODELS:
+        return _BASE_MODELS[key]()
+    if key.startswith("s3-dhom:"):
+        from .dhomothety import apply as dhom_apply
+
+        try:
+            mu = float(key.split(":", 1)[1])
+        except ValueError as exc:
+            raise KeyError(f"bad deformation ratio in model key {key!r}") from exc
+        if mu <= 0:
+            raise KeyError("deformation ratio must be positive")
+        return dhom_apply(SphereModel(1), mu)
+    raise KeyError(f"unknown model key {key!r}")

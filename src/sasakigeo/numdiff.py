@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "directional_derivative",
     "path_derivative",
-    "path_second_derivative",
     "fd_hessian_diagonal_sum",
 ]
 
@@ -74,11 +73,6 @@ def path_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     out[0], out[1] = head[0], head[1]
     out[-1], out[-2] = tail[0], tail[1]
     return out
-
-
-def path_second_derivative(values: np.ndarray, dt: float) -> np.ndarray:
-    """Second t-derivative of sampled data, via two 4th-order first passes."""
-    return path_derivative(path_derivative(values, dt), dt)
 
 
 def fd_hessian_diagonal_sum(

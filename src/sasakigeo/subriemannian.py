@@ -22,20 +22,19 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 from scipy.stats import qmc
 
-from .core import SasakiModel
-from .models import get_model
+from .core import SasakiModel, _dot
 from .numdiff import path_derivative
 
 __all__ = [
     "CotangentState",
     "GeodesicPath",
     "PathInvariants",
-    "hamiltonian",
     "integrate_geodesic",
     "geodesic_residual",
     "strong_bracket_check",
@@ -50,10 +49,6 @@ __all__ = [
     "theoretical_diameter_bound",
     "geodesic_from_result",
 ]
-
-
-def _dot(u, v):
-    return np.sum(u * v, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +73,8 @@ class CotangentState:
     ) -> "CotangentState":
         point = np.asarray(point, dtype=float)
         covector = np.asarray(covector, dtype=float)
+        if not np.all(np.isfinite(point)):
+            raise ValueError("base point has non-finite coordinates")
         res = float(np.max(model.constraint_residual(point)))
         if res > 1e-9:
             raise ValueError(f"base point off the constraint set (residual {res:.3e})")
@@ -119,8 +116,7 @@ class PathInvariants:
 class GeodesicPath:
     """Uniformly sampled trajectory of the cotangent flow.
 
-    Arrays are stored sample-major; ``samples`` rebuilds the (t, point,
-    velocity, state) view lazily when object-level access is wanted.
+    Arrays are stored sample-major, one row per entry of ``t``.
     """
 
     model_key: str
@@ -136,29 +132,8 @@ class GeodesicPath:
     energy: float
 
     @property
-    def n_samples(self) -> int:
-        return self.t.shape[0]
-
-    @property
     def t_end(self) -> float:
         return float(self.t[-1])
-
-    def final_state(self, model: SasakiModel) -> CotangentState:
-        return CotangentState.make(model, self.points[-1], self.covectors[-1], self.mode)
-
-    def initial_state(self, model: SasakiModel) -> CotangentState:
-        return CotangentState.make(model, self.points[0], self.covectors[0], self.mode)
-
-    def samples(self, model: SasakiModel):
-        from .core import Point, TangentVector
-
-        out = []
-        for i in range(self.n_samples):
-            p = Point.on(model, self.points[i])
-            v = TangentVector.at(model, p, self.velocities[i])
-            s = CotangentState.make(model, self.points[i], self.covectors[i], self.mode)
-            out.append((float(self.t[i]), p, v, s))
-        return out
 
     def invariants(self, model: SasakiModel) -> PathInvariants:
         speeds = np.sqrt(
@@ -179,11 +154,6 @@ class GeodesicPath:
 # ---------------------------------------------------------------------------
 # Integrator core.
 # ---------------------------------------------------------------------------
-
-
-def hamiltonian(model: SasakiModel, state: CotangentState) -> float:
-    """Horizontal kinetic energy of a cotangent state."""
-    return float(model.hamiltonian(state.point, state.covector, mode=state.mode))
 
 
 def _rk4_step(model, x, a, h, mode):
@@ -502,6 +472,8 @@ def cc_distance(
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     for x in (p, q):
+        if not np.all(np.isfinite(x)):
+            raise ValueError("endpoint has non-finite coordinates")
         res = float(model.constraint_residual(x))
         if res > 1e-9:
             raise ValueError(f"endpoint off the constraint set (residual {res:.3e})")
@@ -777,12 +749,6 @@ class DiameterReport:
         return [pr.index for pr in self.pairs if not pr.result.converged]
 
 
-def _pair_job(args):
-    model_key, p, q, cfg = args
-    model = get_model(model_key)
-    return cc_distance(model, p, q, cfg)
-
-
 def estimate_diameter(
     model: SasakiModel,
     pair_samples: int,
@@ -803,9 +769,8 @@ def estimate_diameter(
     ps = model.random_points(rng, pair_samples)
     qs = model.random_points(rng, pair_samples)
     if threads > 1:
-        jobs = [(model.key, ps[i], qs[i], cfg) for i in range(pair_samples)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_pair_job, jobs, chunksize=1))
+            results = list(pool.map(cc_distance, repeat(model), ps, qs, repeat(cfg), chunksize=1))
     else:
         results = [cc_distance(model, ps[i], qs[i], cfg) for i in range(pair_samples)]
     pairs = [PairResult(i, ps[i], qs[i], r) for i, r in enumerate(results)]

@@ -13,7 +13,7 @@ Ricci curvature, which yields the diameter bound certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
@@ -42,10 +42,6 @@ __all__ = [
     "MyersCertificate",
     "myers_certificate",
 ]
-
-
-def _dot(u, v):
-    return np.einsum("...i,...i->...", u, v)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from sasakigeo import subriemannian
 from sasakigeo.cli import EXIT_BUDGET, EXIT_INVARIANT, EXIT_PASS, EXIT_USAGE, main
 
 
@@ -61,6 +62,19 @@ class TestExitCodes:
         )
         assert code == EXIT_USAGE
         assert "malformed" in err
+
+    def test_non_finite_vector_returns_one(self, capsys, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("search ran on a non-finite endpoint")
+
+        monkeypatch.setattr(subriemannian, "cc_distance", no_search)
+        code, out, err = run(
+            capsys, "cc-distance", "--model", "heisenberg", "--from", "nan,0,0",
+            "--to", "1,0,0",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "non-finite" in err
 
     def test_wrong_dimension_returns_one(self, capsys):
         code, _, err = run(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sasakigeo import models, subriemannian as sr
+from sasakigeo import dhomothety as dh, models, subriemannian as sr
 
 
 @st.composite
@@ -53,9 +53,11 @@ class TestIntegration:
         with pytest.raises(ValueError, match="horizontal"):
             sr.integrate_geodesic(s3, state, 1.0, 100, mode="sub")
 
-    def test_off_manifold_start_rejected(self, s3):
+    def test_off_manifold_start_rejected(self, s3, heis):
         with pytest.raises(ValueError, match="constraint"):
             sr.CotangentState.make(s3, np.array([1.1, 0, 0, 0]), np.zeros(4))
+        with pytest.raises(ValueError, match="non-finite"):
+            sr.CotangentState.make(heis, np.array([0.0, np.inf, 0]), np.ones(3))
 
     @pytest.mark.parametrize("key", ["s3", "s5", "heisenberg"])
     def test_matches_closed_form(self, key):
@@ -163,10 +165,13 @@ class TestDistanceOracles:
         assert sub.converged and riem.converged
         assert riem.distance <= sub.distance + 1e-3
 
-    def test_endpoint_validation(self, s3):
+    def test_endpoint_validation(self, s3, heis):
         p = np.array([1.0, 0, 0, 0])
         with pytest.raises(ValueError, match="constraint"):
             sr.cc_distance(s3, p, np.array([0.0, 0, 0, 2.0]))
+        # the Heisenberg chart has no constraint residual to catch a NaN
+        with pytest.raises(ValueError, match="non-finite"):
+            sr.cc_distance(heis, np.array([np.nan, 0, 0]), np.array([1.0, 0, 0]))
 
     def test_determinism(self, heis):
         cfg = sr.ShootingConfig(seed=9)
@@ -178,13 +183,20 @@ class TestDistanceOracles:
 
 class TestDiameterEstimate:
     def test_thread_count_does_not_change_results(self, s3):
-        cfg = sr.ShootingConfig(seed=31)
-        serial = sr.estimate_diameter(s3, 2, cfg, threads=1)
-        threaded = sr.estimate_diameter(s3, 2, cfg, threads=2)
-        assert serial.estimate == threaded.estimate
-        assert [p.result.distance for p in serial.pairs] == [
-            p.result.distance for p in threaded.pairs
+        # the deformed model's key prints mu to six digits, so a worker must
+        # receive the model itself, not a model rebuilt from its key
+        quick = sr.ShootingConfig(seed=5, n_directions=8, n_alpha0=5, confirm_rounds=0)
+        cases = [
+            (s3, 2, sr.ShootingConfig(seed=31)),
+            (dh.apply(s3, 1.23456789), 1, quick),
         ]
+        for model, pairs, cfg in cases:
+            serial = sr.estimate_diameter(model, pairs, cfg, threads=1)
+            threaded = sr.estimate_diameter(model, pairs, cfg, threads=2)
+            assert serial.estimate == threaded.estimate
+            assert [p.result.distance for p in serial.pairs] == [
+                p.result.distance for p in threaded.pairs
+            ]
 
     def test_bound_values(self, s3, s5, heis):
         assert abs(sr.theoretical_diameter_bound(s3) - math.pi) < 1e-12
