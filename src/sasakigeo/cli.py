@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -58,7 +59,7 @@ def _emit(args, body: dict) -> None:
         "model": args.model,
         **body,
     }
-    text = json.dumps(report, indent=2, default=_np_default)
+    text = json.dumps(report, indent=2, default=_np_default, allow_nan=False)
     if args.output is None:
         print(text)
     else:
@@ -118,6 +119,8 @@ def _cmd_check_identities(args) -> int:
 
 def _cmd_geodesic(args) -> int:
     model = models.get_model(args.model)
+    if not math.isfinite(args.alpha0):
+        raise ValueError(f"Reeb momentum --alpha0 {args.alpha0!r} is non-finite")
     point = (
         _parse_vector(args.point, model.ambient_dim)
         if args.point
@@ -203,7 +206,8 @@ def _cmd_diameter(args) -> int:
     payload = {
         "pairs": args.pairs,
         "seed": args.seed,
-        "estimate": report.estimate,
+        # NaN when no pair converged; JSON has no NaN
+        "estimate": report.estimate if math.isfinite(report.estimate) else None,
         "bound": bound,
         "within_bound": within,
         "partial": report.partial,

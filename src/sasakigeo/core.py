@@ -52,7 +52,9 @@ __all__ = [
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.sum(u * v, axis=-1)
+    # the ufunc reduction np.sum reaches through its Python wrappers: same
+    # result, half the per-call overhead on the small arrays of the flow
+    return np.add.reduce(u * v, axis=-1)
 
 
 class SasakiModel(abc.ABC):

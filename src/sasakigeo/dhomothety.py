@@ -25,6 +25,7 @@ nested deformations so the equality is algebraic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,8 @@ class DHomotheticModel(SasakiModel):
     """A source model carrying the deformed metric structure."""
 
     def __init__(self, source: SasakiModel, mu: float):
-        if mu <= 0:
-            raise ValueError("deformation ratio must be positive")
+        if not (math.isfinite(mu) and mu > 0):
+            raise ValueError(f"deformation ratio must be finite and positive, got {mu!r}")
         self.source = source
         self.mu = float(mu)
         self.s = 1.0 / self.mu  # transverse metric scale
@@ -158,6 +159,18 @@ class DHomotheticModel(SasakiModel):
 
     def project_state(self, x, a):
         return self.source.project_state(x, a)
+
+    @property
+    def flow_positions(self):
+        """Exact horizontal flow: the source flow at time ``mu t``.
+
+        The horizontal right-hand side is the source's times ``mu``.  Like the
+        source's ``flow_positions``, this attribute is missing (reading it
+        raises AttributeError) when the source has no exact flow.
+        """
+        source_flow = self.source.flow_positions
+        mu = self.mu
+        return lambda x0, a, t: source_flow(x0, a, mu * np.asarray(t, dtype=float))
 
 
 def apply(model: SasakiModel, mu: float) -> SasakiModel:

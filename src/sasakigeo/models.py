@@ -25,6 +25,8 @@ Nilpotent group (Heisenberg) chart
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import SasakiModel, _dot
@@ -132,27 +134,34 @@ class SphereModel(SasakiModel):
         x = self.project_point(x)
         return x, a - _dot(a, x)[..., None] * x
 
-    # -- sphere-only conveniences -----------------------------------------
-    def closed_form_geodesic(self, p, u, a0, t):
-        """Exact normal geodesic: e^{-a0 t J}(cos(w t) p + sin(w t) W).
+    # -- exact flow --------------------------------------------------------
+    def flow_positions(self, x0, a, t):
+        """Positions of the exact horizontal flow: e^{-a0 t J}(cos(w t) x0 + sin(w t) W).
 
-        ``u`` is the horizontal initial velocity, ``w = sqrt(|u|^2 + a0^2)``
-        and ``W = (u + a0 J p)/w``.  Used as an integration oracle in tests.
+        ``x0`` and ``a`` are (..., d) rows and ``t`` is (..., K) times per
+        row; the result is (..., K, d).  With ``u`` the horizontal velocity
+        of ``a`` and ``a0`` its Reeb momentum, ``w = sqrt(|u|^2 + a0^2)`` and
+        ``W = (u + a0 J x0)/w``.
         """
-        t = np.asarray(t, dtype=float)[..., None]
-        speed2 = float(_dot(u, u))
-        w = float(np.sqrt(speed2 + a0 * a0))
-        Wv = (u + a0 * self._J(p)) / w
-        c = np.cos(w * t) * p + np.sin(w * t) * Wv
+        x0 = np.asarray(x0, dtype=float)
+        t = np.asarray(t, dtype=float)
+        a0 = self.alpha0(x0, a)[..., None]
+        u = self.velocity(x0, a, mode="sub")
+        w = np.sqrt(_dot(u, u)[..., None] + a0 * a0)
+        W = (u + a0 * self._J(x0)) / w
+        wt = w * t
+        c = np.cos(wt)[..., None] * x0[..., None, :] + np.sin(wt)[..., None] * W[..., None, :]
         # e^{-a0 t J} rotates each coordinate pair by angle -a0 t.
-        ang = -a0 * t
+        ang = (-a0 * t)[..., None]
         return np.cos(ang) * c + np.sin(ang) * self._J(c)
+
+    def closed_form_geodesic(self, p, u, a0, t):
+        """Exact normal geodesic from ``p``, horizontal velocity ``u``, Reeb momentum ``a0``."""
+        return self.flow_positions(p, self.covector_from(p, u, a0), t)
 
     def closed_form_from_covector(self, x0, alpha, t):
         """Positions of the exact horizontal-flow solution started at (x0, alpha)."""
-        a0 = float(self.alpha0(x0, alpha))
-        u = self.velocity(x0, alpha, mode="sub")
-        return self.closed_form_geodesic(x0, u, a0, t)
+        return self.flow_positions(x0, alpha, t)
 
 
 class HeisenbergModel(SasakiModel):
@@ -286,8 +295,8 @@ class HeisenbergModel(SasakiModel):
         """Transversally flat: no positive lower bound on Ric^T."""
         return 0.0
 
-    def closed_form_from_covector(self, x0, alpha, t):
-        """Positions of the exact horizontal-flow solution started at (x0, alpha).
+    def flow_positions(self, x0, a, t):
+        """Positions of the exact horizontal flow, (..., K, 3) for (..., K) times per row.
 
         The chart momenta a_x and a_z are conserved, and the pair
         (w, a_y) = (a_x + y a_z, a_y) rotates with angular rate a_z, so the
@@ -301,11 +310,12 @@ class HeisenbergModel(SasakiModel):
         """
         t = np.asarray(t, dtype=float)
         x0 = np.asarray(x0, dtype=float)
-        px, py, pz = (float(v) for v in x0)
-        ax, ay, az = (float(v) for v in np.asarray(alpha, dtype=float))
+        a = np.asarray(a, dtype=float)
+        px, py, pz = (x0[..., i, None] for i in range(3))
+        ax, ay, az = (a[..., i, None] for i in range(3))
         w0 = ax + py * az
-        rho = float(np.hypot(w0, ay))
-        th0 = float(np.arctan2(ay, w0))
+        rho = np.hypot(w0, ay)
+        th0 = np.arctan2(ay, w0)
 
         def sinc(y):  # sin(y)/y without the numpy pi-normalization
             return np.sinc(y / np.pi)
@@ -332,6 +342,10 @@ class HeisenbergModel(SasakiModel):
         g = np.where(small, g_series, g_exact)
         zs = pz + py * (xs - px) + 0.5 * rho * rho * t * t * (d + g)
         return np.stack([xs, ys, zs], axis=-1)
+
+    def closed_form_from_covector(self, x0, alpha, t):
+        """Positions of the exact horizontal-flow solution started at (x0, alpha)."""
+        return self.flow_positions(x0, alpha, t)
 
 
 def make_round_sphere(n: int) -> SphereModel:
@@ -365,7 +379,7 @@ def get_model(key: str) -> SasakiModel:
             mu = float(key.split(":", 1)[1])
         except ValueError as exc:
             raise KeyError(f"bad deformation ratio in model key {key!r}") from exc
-        if mu <= 0:
-            raise KeyError("deformation ratio must be positive")
+        if not (math.isfinite(mu) and mu > 0):
+            raise KeyError(f"deformation ratio must be finite and positive in {key!r}")
         return dhom_apply(SphereModel(1), mu)
     raise KeyError(f"unknown model key {key!r}")

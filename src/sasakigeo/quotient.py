@@ -21,6 +21,7 @@ This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -173,13 +174,21 @@ def sphere_angles(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return theta, phi
 
 
+def _read_only(field: np.ndarray) -> np.ndarray:
+    field.setflags(write=False)
+    return field
+
+
 @dataclass
 class BasicPotential:
     """A potential on the quotient sphere, pulled back to a basic function.
 
     All derived fields live on the grid: ``box0`` is the basic complex
     Laplacian (2 l(l+1) multiplier), ``u = 1 - box0(phi)`` the density of the
-    deformed transverse area form relative to the undeformed one.
+    deformed transverse area form relative to the undeformed one.  The values
+    and ``box0`` are synthesized once per potential (the coefficients are
+    never changed in place) and handed out read-only; ``u`` is a fresh array
+    (caching it too would hold a third grid field per potential).
     """
 
     grid: S2Grid
@@ -193,19 +202,23 @@ class BasicPotential:
     def zero(cls, grid: S2Grid) -> "BasicPotential":
         return cls(grid, np.zeros((grid.lmax + 1, grid.lmax + 1), dtype=complex))
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
-        return self.grid.synthesize(self.coeffs)
+        return _read_only(self.grid.synthesize(self.coeffs))
 
     @property
     def amplitude(self) -> float:
         return float(np.max(np.abs(self.values)))
 
+    @cached_property
+    def _box0(self) -> np.ndarray:
+        return _read_only(self.grid.synthesize(self.coeffs * self.grid.box0_multiplier[:, None]))
+
     def box0(self) -> np.ndarray:
-        return self.grid.synthesize(self.coeffs * self.grid.box0_multiplier[:, None])
+        return self._box0
 
     def u(self) -> np.ndarray:
-        return 1.0 - self.box0()
+        return 1.0 - self._box0
 
     def min_density(self) -> float:
         return float(np.min(self.u()))

@@ -6,8 +6,11 @@ The horizontal (sub-Riemannian) Hamiltonian is
 
 whose flow projects to horizontal constant-speed curves ("normal geodesics")
 satisfying  ``nabla_v v + 2 a0 phi(v) = 0``  with ``a0 = a(xi)`` constant.
-Integration is fixed-step RK4 on (x, a) with per-step state projection; all
-searches run batched over rows of initial covectors.
+Integration is fixed-step RK4 on (x, a) with per-step state projection.  The
+searches run batched over rows of initial covectors through one flow
+evaluator: in sub mode it uses the model's exact flow (``flow_positions``)
+where the model has one, and RK4 otherwise.  Certification always integrates
+the connecting geodesic by RK4.
 
 Distances are estimated by shooting: a coarse grid over unit horizontal
 directions crossed with a Reeb-momentum grid, followed by compass (pattern)
@@ -75,6 +78,8 @@ class CotangentState:
         covector = np.asarray(covector, dtype=float)
         if not np.all(np.isfinite(point)):
             raise ValueError("base point has non-finite coordinates")
+        if not np.all(np.isfinite(covector)):
+            raise ValueError("covector has non-finite components")
         res = float(np.max(model.constraint_residual(point)))
         if res > 1e-9:
             raise ValueError(f"base point off the constraint set (residual {res:.3e})")
@@ -365,24 +370,49 @@ class ShootingResult:
         return self.status == "converged"
 
 
-def _batched_closest_approach(model, x0, a0cov, T, n_steps, target, mode):
-    """Closest approach to ``target`` along each row's trajectory.
+# Output elements (rows x times x coordinates) per closed-form block: bounds
+# the temporary memory of a wide scan instead of building the whole trajectory.
+_FLOW_BLOCK = 1 << 14
 
-    Rows integrate with their own step ``T_i / n_steps``.  Returns
-    (miss_i, t_i) refined by parabolic interpolation of the squared distance
-    through the discrete minimum.
+
+def _flow_positions(model, x0, a, T, n_steps, mode, start=0):
+    """Positions of each row at the times ``k T_i / n_steps``, ``start <= k <= n_steps``.
+
+    Yields ``(k, X)`` in increasing ``k``, where ``X[i, j]`` is row ``i`` at
+    sample ``k + j``.  In sub mode a model with ``flow_positions`` evaluates
+    its exact flow in blocks of bounded size; otherwise the rows integrate by
+    RK4 with their own step ``T_i / n_steps`` and one sample per step.
     """
-    B = x0.shape[0]
-    h = (np.asarray(T, dtype=float) / n_steps)[:, None]
-    x, a = x0.copy(), a0cov.copy()
-    d2 = np.empty((n_steps + 1, B))
-    d2[0] = _dot(x - target, x - target)
-    for i in range(n_steps):
+    T = np.asarray(T, dtype=float)
+    exact = getattr(model, "flow_positions", None) if mode == "sub" else None
+    if exact is not None:
+        per_time = x0.shape[0] * x0.shape[-1]
+        width = max(1, _FLOW_BLOCK // per_time)
+        for k in range(start, n_steps + 1, width):
+            frac = np.arange(k, min(k + width, n_steps + 1)) / n_steps
+            yield k, exact(x0, a, T[:, None] * frac)
+        return
+    h = (T / n_steps)[:, None]
+    x = x0
+    if start == 0:
+        yield 0, x[:, None]
+    for i in range(1, n_steps + 1):
         x, a = _rk4_step(model, x, a, h, mode)
-        d2[i + 1] = _dot(x - target, x - target)
+        if i >= start:
+            yield i, x[:, None]
+
+
+def _closest_sample(d2, h):
+    """Closest approach from squared distances ``d2[k, i]`` sampled every ``h[i]``.
+
+    Returns (miss_i, t_i) refined by parabolic interpolation of the squared
+    distance through the discrete minimum.
+    """
+    n_steps = d2.shape[0] - 1
+    B = d2.shape[1]
     idx = np.argmin(d2, axis=0)
     rows = np.arange(B)
-    t_best = idx * h[:, 0]
+    t_best = idx * h
     d2_best = d2[idx, rows]
     inner = (idx > 0) & (idx < n_steps)
     if np.any(inner):
@@ -394,9 +424,21 @@ def _batched_closest_approach(model, x0, a0cov, T, n_steps, target, mode):
         offset = np.where(safe, 0.5 * (dm - dp) / np.where(safe, denom, 1.0), 0.0)
         offset = np.clip(offset, -1.0, 1.0)
         d2_interp = d0 - 0.25 * (dm - dp) * offset
-        t_best[inner] = (j + offset) * h[inner, 0]
+        t_best[inner] = (j + offset) * h[inner]
         d2_best[inner] = np.minimum(d0, d2_interp)
     return np.sqrt(np.maximum(d2_best, 0.0)), t_best
+
+
+def _batched_closest_approach(model, x0, a0cov, T, n_steps, target, mode):
+    """Closest approach to ``target`` along each row's trajectory.
+
+    Rows are sampled every ``T_i / n_steps`` by the flow evaluator.
+    """
+    d2 = np.empty((n_steps + 1, x0.shape[0]))
+    for k, X in _flow_positions(model, x0, a0cov, T, n_steps, mode):
+        diff = X - target
+        d2[k:k + X.shape[1]] = _dot(diff, diff).T
+    return _closest_sample(d2, np.asarray(T, dtype=float) / n_steps)
 
 
 def _direction_basis(model, p, u):
@@ -580,12 +622,14 @@ def _search_once(model, p, q, cfg, t_max, A, round_id=0):
         # certify at the fine step before trusting the candidate
         horizon = min(max(1.25 * t_c, 0.4), t_max)
         n_fine = max(32, int(round(horizon / cfg.certify_step)))
+        # always by RK4, whatever flow the search used: a wrong exact flow can
+        # cost a connection but never certify a false one
         cov_c = _search_covector(model, p, u_c, a0_c, mode)
-        miss_f, t_f = _batched_closest_approach(
-            model, p[None], cov_c[None], np.array([horizon]), n_fine, q, mode
-        )
-        miss_f, t_f = float(miss_f[0]), float(t_f[0])
         state = CotangentState.make(model, p, cov_c, mode)
+        path = integrate_geodesic(model, state, horizon, n_fine)
+        diff = path.points - q
+        miss_f, t_f = _closest_sample(_dot(diff, diff)[:, None], np.array([path.step]))
+        miss_f, t_f = float(miss_f[0]), float(t_f[0])
         boundary = abs(a0_c) > 0.95 * A
         last = (state, miss_f, a0_c, boundary, plateau)
         if miss_f <= cfg.hit_tol:
@@ -603,14 +647,12 @@ def _search_once(model, p, q, cfg, t_max, A, round_id=0):
 def _endpoint_batch(model, p, us, a0s, t_end, step_hint, mode):
     """Endpoint of the flow at a fixed common time for a batch of covectors."""
     B = len(us)
-    X0 = np.broadcast_to(p, (B,) + p.shape).copy()
+    X0 = np.broadcast_to(p, (B,) + p.shape)
     cov = _search_covector(model, X0, np.stack(us), np.asarray(a0s, dtype=float), mode)
     n_steps = max(8, int(round(t_end / step_hint)))
-    h = np.full((B, 1), t_end / n_steps)
-    x, a = X0, cov
-    for _ in range(n_steps):
-        x, a = _rk4_step(model, x, a, h, mode)
-    return x
+    T = np.full(B, t_end)
+    _, X = next(_flow_positions(model, X0, cov, T, n_steps, mode, start=n_steps))
+    return X[:, 0]
 
 
 def _refine_candidate(model, p, q, u, a0, t_seed, cfg, t_max):

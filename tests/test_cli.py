@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report shape, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -75,6 +76,47 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert out == ""
         assert "non-finite" in err
+
+    def test_non_finite_mu_returns_one(self, capsys):
+        code, out, err = run(capsys, "dhomothety", "--model", "s3", "--mu", "nan")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "finite" in err
+        code, out, err = run(capsys, "check-identities", "--model", "s3-dhom:nan")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "finite" in err
+
+    def test_non_finite_alpha0_returns_one(self, capsys):
+        code, out, err = run(capsys, "geodesic", "--model", "s3", "--alpha0", "nan")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "Reeb momentum" in err and "non-finite" in err
+
+    def test_nan_in_report_returns_one(self, capsys, monkeypatch):
+        # a NaN reaching the emitter is an error, never a report with NaN
+        def nan_miss(*args, **kwargs):
+            return subriemannian.ShootingResult(
+                "budget-exhausted", None, None, math.nan, None, False, 4.0, True, 0
+            )
+
+        monkeypatch.setattr(subriemannian, "cc_distance", nan_miss)
+        code, out, err = run(
+            capsys, "cc-distance", "--model", "heisenberg", "--from", "0,0,0",
+            "--to", "1,0,0",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "JSON" in err
+
+    def test_diameter_without_converged_pair_reports_null(self, capsys, monkeypatch):
+        def no_pair_converged(model, pairs, cfg, threads=1):
+            return subriemannian.DiameterReport(model.key, math.nan, None, [], True)
+
+        monkeypatch.setattr(subriemannian, "estimate_diameter", no_pair_converged)
+        code, out, _ = run(capsys, "diameter", "--model", "s3", "--pairs", "1")
+        assert code == EXIT_BUDGET
+        assert parse_json(out)["estimate"] is None
 
     def test_wrong_dimension_returns_one(self, capsys):
         code, _, err = run(

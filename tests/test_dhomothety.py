@@ -37,6 +37,11 @@ class TestDeformationAlgebra:
         with pytest.raises(ValueError, match="positive"):
             dh.apply(s3, 0.0)
 
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf")])
+    def test_non_finite_ratio_rejected(self, s3, mu):
+        with pytest.raises(ValueError, match="finite"):
+            dh.apply(s3, mu)
+
     def test_transverse_metric_scales(self, s3):
         mu = 2.5
         dm = dh.apply(s3, mu)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sasakigeo import models
+from sasakigeo import models, subriemannian as sr
 from sasakigeo.models import MODEL_KEYS, get_model, make_heisenberg, make_round_sphere
 
 
@@ -36,6 +36,11 @@ class TestRegistry:
     def test_deformed_key_malformed(self):
         with pytest.raises((KeyError, ValueError)):
             get_model("s3-dhom:abc")
+
+    @pytest.mark.parametrize("key", ["s3-dhom:nan", "s3-dhom:inf"])
+    def test_deformed_key_non_finite(self, key):
+        with pytest.raises(KeyError, match="finite"):
+            get_model(key)
 
     def test_factories_match_registry(self):
         assert make_round_sphere(1).key == get_model("s3").key
@@ -144,6 +149,32 @@ class TestClosedFormFlow:
         vel = np.gradient(pts, ts, axis=0)
         eta = model.eta(pts, vel)
         assert np.max(np.abs(eta[2:-2])) < 1e-5
+
+
+    @pytest.mark.parametrize("key", ["s3", "s5", "heisenberg", "s3-dhom:1.7"])
+    def test_batched_flow_matches_rows_and_rk4(self, key):
+        # rows with a0 = 0, a Heisenberg turning rate a_z = 2 a0 small enough
+        # for the series branch all along (|a_z t| <= 4e-3 < 1e-2), and
+        # turning arcs; each row has its own time grid
+        model = get_model(key)
+        rng = np.random.default_rng(8)
+        a0 = np.array([0.0, 1e-3, 0.6, -1.4])
+        x = model.random_points(rng, a0.size)
+        u = model.random_unit_horizontal(rng, x)
+        cov = model.covector_from(x, u, a0)
+        T = np.array([2.0, 1.5, 1.8, 1.2])
+        steps = 4000
+        t = T[:, None] * np.linspace(0.0, 1.0, steps + 1)[None, :]
+        batched = model.flow_positions(x, cov, t)
+        assert batched.shape == (a0.size, steps + 1, model.ambient_dim)
+        exact = getattr(model, "source", model)
+        scale = getattr(model, "mu", 1.0)
+        for i in range(a0.size):
+            rows = exact.closed_form_from_covector(x[i], cov[i], scale * t[i])
+            assert np.max(np.abs(batched[i] - rows)) < 1e-12
+            state = sr.CotangentState.make(model, x[i], cov[i])
+            path = sr.integrate_geodesic(model, state, T[i], steps)
+            assert np.max(np.abs(batched[i] - path.points)) < 1e-9
 
 
 class TestCovectorAlgebra:

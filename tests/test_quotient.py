@@ -57,6 +57,19 @@ class TestHarmonicTransforms:
         sub = phi.values[::8, ::16].ravel()
         assert np.max(np.abs(direct - sub)) < 1e-11
 
+    def test_fields_synthesized_once_and_read_only(self, grid, monkeypatch):
+        phi = qt.harmonic_potential(grid, 2, 1, 0.02).shifted(0.1)
+        calls = []
+        synthesize = grid.synthesize
+        monkeypatch.setattr(grid, "synthesize", lambda C: calls.append(1) or synthesize(C))
+        for _ in range(3):
+            fields = (phi.values, phi.amplitude, phi.box0(), phi.u(), phi.min_density())
+        assert len(calls) == 2  # the values and the box0 field, once each
+        assert np.array_equal(phi.u(), 1.0 - synthesize(phi.coeffs * grid.box0_multiplier[:, None]))
+        for field in (phi.values, phi.box0()):
+            with pytest.raises(ValueError, match="read-only"):
+                field += 1.0
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             qt.S2Grid(n_theta=16, n_phi=128, lmax=32)
