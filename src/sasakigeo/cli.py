@@ -67,6 +67,17 @@ def _emit(args, body: dict) -> None:
             fh.write(text + "\n")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: NaN and inf are usage errors naming the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite value {text!r}")
+    return value
+
+
 def _parse_vector(text: str, expected_dim: int | None = None) -> np.ndarray:
     try:
         vec = np.array([float(tok) for tok in text.split(",")], dtype=float)
@@ -119,8 +130,6 @@ def _cmd_check_identities(args) -> int:
 
 def _cmd_geodesic(args) -> int:
     model = models.get_model(args.model)
-    if not math.isfinite(args.alpha0):
-        raise ValueError(f"Reeb momentum --alpha0 {args.alpha0!r} is non-finite")
     point = (
         _parse_vector(args.point, model.ambient_dim)
         if args.point
@@ -479,13 +488,13 @@ def build_parser() -> _Parser:
 
     p = add("check-identities", _cmd_check_identities, "structure identity residuals")
     p.add_argument("--points", type=int, default=200, help="sample point count")
-    p.add_argument("--tol", type=float, default=None, help="override all tolerances")
+    p.add_argument("--tol", type=_finite_float, default=None, help="override all tolerances")
 
     p = add("geodesic", _cmd_geodesic, "integrate one normal geodesic")
     p.add_argument("--point", default=None, help="start point (comma-separated)")
     p.add_argument("--direction", default=None, help="initial horizontal direction")
-    p.add_argument("--alpha0", type=float, default=0.3, help="Reeb momentum")
-    p.add_argument("--t-end", type=float, default=float(2.0 * np.pi))
+    p.add_argument("--alpha0", type=_finite_float, default=0.3, help="Reeb momentum")
+    p.add_argument("--t-end", type=_finite_float, default=float(2.0 * np.pi))
     p.add_argument("--steps", type=int, default=None, help="step count (default t/1e-3)")
     p.add_argument("--mode", choices=("sub", "riem"), default="sub")
     p.add_argument("--csv", default=None, help="write the sampled path as CSV")
@@ -493,9 +502,9 @@ def build_parser() -> _Parser:
     p = add("cc-distance", _cmd_cc_distance, "distance between two points")
     p.add_argument("--from", required=True, help="start point (comma-separated)")
     p.add_argument("--to", required=True, help="target point (comma-separated)")
-    p.add_argument("--alpha0-max", type=float, default=4.0)
+    p.add_argument("--alpha0-max", type=_finite_float, default=4.0)
     p.add_argument(
-        "--t-max", type=float, default=None, help="search horizon (default: model rule)"
+        "--t-max", type=_finite_float, default=None, help="search horizon (default: model rule)"
     )
 
     p = add("diameter", _cmd_diameter, "diameter estimate over random pairs")
@@ -508,13 +517,13 @@ def build_parser() -> _Parser:
     p.add_argument("--pairs", type=int, default=4)
 
     p = add("dhomothety", _cmd_dhomothety, "deformation scaling checks")
-    p.add_argument("--mu", type=float, required=True, help="deformation parameter")
+    p.add_argument("--mu", type=_finite_float, required=True, help="deformation parameter")
     p.add_argument("--samples", type=int, default=100000, help="volume MC samples")
 
     p = add("functionals", _cmd_functionals, "energy functionals on potentials")
     p.add_argument("--l", type=int, default=2, help="harmonic degree")
     p.add_argument("--m", type=int, default=1, help="harmonic order")
-    p.add_argument("--amplitude", type=float, default=0.02)
+    p.add_argument("--amplitude", type=_finite_float, default=0.02)
     p.add_argument("--random", action="store_true", help="use a seeded random potential")
     p.add_argument("--values-csv", default=None, help="potential values on the grid")
     p.add_argument("--grid", default="64x128", help="n_theta x n_phi")

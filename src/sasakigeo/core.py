@@ -152,6 +152,21 @@ class SasakiModel(abc.ABC):
         """Per-step renormalisation of the cotangent state (default: none)."""
         return x, a
 
+    # -- exact flows (the shooting search requires both) -------------------
+    @abc.abstractmethod
+    def flow_positions(self, x0: np.ndarray, a: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Positions (..., K, d) of the exact sub-mode flow from rows (x0, a) at times (..., K)."""
+
+    @abc.abstractmethod
+    def reeb_flow(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """Points ``x`` (..., d) moved along the Reeb field for times ``theta`` (...)."""
+
+    def closed_form_from_covector(
+        self, x0: np.ndarray, alpha: np.ndarray, t: np.ndarray
+    ) -> np.ndarray:
+        """Positions of the exact horizontal-flow solution started at (x0, alpha)."""
+        return self.flow_positions(x0, alpha, t)
+
     # -- generic helpers ---------------------------------------------------
     def eta(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return _dot(self.eta_covector(x), u)

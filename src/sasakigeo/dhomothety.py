@@ -160,17 +160,13 @@ class DHomotheticModel(SasakiModel):
     def project_state(self, x, a):
         return self.source.project_state(x, a)
 
-    @property
-    def flow_positions(self):
-        """Exact horizontal flow: the source flow at time ``mu t``.
+    def flow_positions(self, x0, a, t):
+        """Exact horizontal flow: the source flow at time ``mu t`` (H_sub scales by ``mu``)."""
+        return self.source.flow_positions(x0, a, self.mu * np.asarray(t, dtype=float))
 
-        The horizontal right-hand side is the source's times ``mu``.  Like the
-        source's ``flow_positions``, this attribute is missing (reading it
-        raises AttributeError) when the source has no exact flow.
-        """
-        source_flow = self.source.flow_positions
-        mu = self.mu
-        return lambda x0, a, t: source_flow(x0, a, mu * np.asarray(t, dtype=float))
+    def reeb_flow(self, x, theta):
+        """The flow of ``xi_mu = mu xi``: the source's Reeb flow for time ``mu theta``."""
+        return self.source.reeb_flow(x, self.mu * np.asarray(theta))
 
 
 def apply(model: SasakiModel, mu: float) -> SasakiModel:

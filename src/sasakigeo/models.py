@@ -151,17 +151,12 @@ class SphereModel(SasakiModel):
         W = (u + a0 * self._J(x0)) / w
         wt = w * t
         c = np.cos(wt)[..., None] * x0[..., None, :] + np.sin(wt)[..., None] * W[..., None, :]
-        # e^{-a0 t J} rotates each coordinate pair by angle -a0 t.
-        ang = (-a0 * t)[..., None]
-        return np.cos(ang) * c + np.sin(ang) * self._J(c)
+        return self.reeb_flow(c, -a0 * t)
 
-    def closed_form_geodesic(self, p, u, a0, t):
-        """Exact normal geodesic from ``p``, horizontal velocity ``u``, Reeb momentum ``a0``."""
-        return self.flow_positions(p, self.covector_from(p, u, a0), t)
-
-    def closed_form_from_covector(self, x0, alpha, t):
-        """Positions of the exact horizontal-flow solution started at (x0, alpha)."""
-        return self.flow_positions(x0, alpha, t)
+    def reeb_flow(self, x, theta):
+        """``e^{theta J} x``: each coordinate pair rotated by ``theta``."""
+        theta = np.asarray(theta)[..., None]
+        return np.cos(theta) * x + np.sin(theta) * self._J(x)
 
 
 class HeisenbergModel(SasakiModel):
@@ -343,9 +338,11 @@ class HeisenbergModel(SasakiModel):
         zs = pz + py * (xs - px) + 0.5 * rho * rho * t * t * (d + g)
         return np.stack([xs, ys, zs], axis=-1)
 
-    def closed_form_from_covector(self, x0, alpha, t):
-        """Positions of the exact horizontal-flow solution started at (x0, alpha)."""
-        return self.flow_positions(x0, alpha, t)
+    def reeb_flow(self, x, theta):
+        """The Reeb field (0, 0, 1/2) flows for time ``theta``: z moves by theta/2."""
+        out = np.array(x, dtype=float)
+        out[..., 2] += 0.5 * np.asarray(theta)
+        return out
 
 
 def make_round_sphere(n: int) -> SphereModel:

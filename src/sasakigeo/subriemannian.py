@@ -8,9 +8,10 @@ whose flow projects to horizontal constant-speed curves ("normal geodesics")
 satisfying  ``nabla_v v + 2 a0 phi(v) = 0``  with ``a0 = a(xi)`` constant.
 Integration is fixed-step RK4 on (x, a) with per-step state projection.  The
 searches run batched over rows of initial covectors through one flow
-evaluator: in sub mode it uses the model's exact flow (``flow_positions``)
-where the model has one, and RK4 otherwise.  Certification always integrates
-the connecting geodesic by RK4.
+evaluator, the model's exact flow in both modes: the sub flow
+(``flow_positions``), followed in riem mode by the Reeb flow (``reeb_flow``)
+for time ``a0 t``.  Certification always integrates the connecting geodesic
+by RK4.
 
 Distances are estimated by shooting: a coarse grid over unit horizontal
 directions crossed with a Reeb-momentum grid, followed by compass (pattern)
@@ -256,8 +257,7 @@ def measure_convergence_order(
 ) -> tuple[list[float], list[float]]:
     """Endpoint errors against the closed-form flow and fitted orders.
 
-    Requires the model to expose ``closed_form_from_covector``.  Returns
-    (errors, orders) where ``orders[i]`` is the rate fitted between
+    Returns (errors, orders) where ``orders[i]`` is the rate fitted between
     consecutive step counts.
     """
     exact = model.closed_form_from_covector(init.point, init.covector, np.array([t_end]))[0]
@@ -370,36 +370,22 @@ class ShootingResult:
         return self.status == "converged"
 
 
-# Output elements (rows x times x coordinates) per closed-form block: bounds
-# the temporary memory of a wide scan instead of building the whole trajectory.
+# Output elements (rows x times x coordinates) per flow block: bounds the
+# temporary memory of a wide scan instead of building the whole trajectory.
 _FLOW_BLOCK = 1 << 14
 
 
-def _flow_positions(model, x0, a, T, n_steps, mode, start=0):
-    """Positions of each row at the times ``k T_i / n_steps``, ``start <= k <= n_steps``.
+def _flow_positions(model, x0, a, t, mode):
+    """Exact positions (rows, K, d) of the rows ``(x0, a)`` at the times ``t`` (rows, K).
 
-    Yields ``(k, X)`` in increasing ``k``, where ``X[i, j]`` is row ``i`` at
-    sample ``k + j``.  In sub mode a model with ``flow_positions`` evaluates
-    its exact flow in blocks of bounded size; otherwise the rows integrate by
-    RK4 with their own step ``T_i / n_steps`` and one sample per step.
+    The Reeb momentum ``a0`` is conserved and the Reeb flow commutes with the
+    horizontal flow, so the riem flow is the sub flow followed by the Reeb
+    flow for time ``a0 t``.
     """
-    T = np.asarray(T, dtype=float)
-    exact = getattr(model, "flow_positions", None) if mode == "sub" else None
-    if exact is not None:
-        per_time = x0.shape[0] * x0.shape[-1]
-        width = max(1, _FLOW_BLOCK // per_time)
-        for k in range(start, n_steps + 1, width):
-            frac = np.arange(k, min(k + width, n_steps + 1)) / n_steps
-            yield k, exact(x0, a, T[:, None] * frac)
-        return
-    h = (T / n_steps)[:, None]
-    x = x0
-    if start == 0:
-        yield 0, x[:, None]
-    for i in range(1, n_steps + 1):
-        x, a = _rk4_step(model, x, a, h, mode)
-        if i >= start:
-            yield i, x[:, None]
+    X = model.flow_positions(x0, a, t)
+    if mode == "riem":
+        X = model.reeb_flow(X, model.alpha0(x0, a)[:, None] * t)
+    return X
 
 
 def _closest_sample(d2, h):
@@ -432,13 +418,16 @@ def _closest_sample(d2, h):
 def _batched_closest_approach(model, x0, a0cov, T, n_steps, target, mode):
     """Closest approach to ``target`` along each row's trajectory.
 
-    Rows are sampled every ``T_i / n_steps`` by the flow evaluator.
+    Rows are sampled every ``T_i / n_steps``, a block of times at a time.
     """
+    T = np.asarray(T, dtype=float)
     d2 = np.empty((n_steps + 1, x0.shape[0]))
-    for k, X in _flow_positions(model, x0, a0cov, T, n_steps, mode):
-        diff = X - target
-        d2[k:k + X.shape[1]] = _dot(diff, diff).T
-    return _closest_sample(d2, np.asarray(T, dtype=float) / n_steps)
+    width = max(1, _FLOW_BLOCK // (x0.shape[0] * x0.shape[-1]))
+    for k in range(0, n_steps + 1, width):
+        frac = np.arange(k, min(k + width, n_steps + 1)) / n_steps
+        diff = _flow_positions(model, x0, a0cov, T[:, None] * frac, mode) - target
+        d2[k:k + frac.size] = _dot(diff, diff).T
+    return _closest_sample(d2, T / n_steps)
 
 
 def _direction_basis(model, p, u):
@@ -644,17 +633,6 @@ def _search_once(model, p, q, cfg, t_max, A, round_id=0):
     )
 
 
-def _endpoint_batch(model, p, us, a0s, t_end, step_hint, mode):
-    """Endpoint of the flow at a fixed common time for a batch of covectors."""
-    B = len(us)
-    X0 = np.broadcast_to(p, (B,) + p.shape)
-    cov = _search_covector(model, X0, np.stack(us), np.asarray(a0s, dtype=float), mode)
-    n_steps = max(8, int(round(t_end / step_hint)))
-    T = np.full(B, t_end)
-    _, X = next(_flow_positions(model, X0, cov, T, n_steps, mode, start=n_steps))
-    return X[:, 0]
-
-
 def _refine_candidate(model, p, q, u, a0, t_seed, cfg, t_max):
     """Two-phase local solve: compass walk, then damped Gauss-Newton.
 
@@ -670,11 +648,13 @@ def _refine_candidate(model, p, q, u, a0, t_seed, cfg, t_max):
     t_loc = min(max(1.15 * t_seed + 0.2, 0.3), t_max)
     n_steps = max(16, int(round(t_loc / cfg.search_step)))
 
+    def rows(us, a0s):
+        X0 = np.broadcast_to(p, (len(us),) + p.shape)
+        return X0, _search_covector(model, X0, np.stack(us), np.asarray(a0s, dtype=float), mode)
+
     def evaluate(us, a0s):
-        B = len(us)
-        X0 = np.broadcast_to(p, (B,) + p.shape)
-        cov = _search_covector(model, X0, np.stack(us), np.asarray(a0s), mode)
-        T = np.full(B, t_loc)
+        X0, cov = rows(us, a0s)
+        T = np.full(len(us), t_loc)
         return _batched_closest_approach(model, X0, cov, T, n_steps, q, mode)
 
     def clamp_a0(v):
@@ -731,12 +711,12 @@ def _refine_candidate(model, p, q, u, a0, t_seed, cfg, t_max):
             a0s.append(a0)
         us.append(u)
         a0s.append(a0 + eps)
-        X = _endpoint_batch(model, p, us, a0s, t_cur, cfg.search_step, mode)
+        X0, cov = rows(us, a0s)
+        X = _flow_positions(model, X0, cov, np.full((len(us), 1), t_cur), mode)[:, 0]
         r = X[0] - q
-        J = (X[1:] - X[0]) / eps  # (n_par, amb)
-        JT = J  # rows are parameter directions
-        G = JT @ JT.T
-        rhs = -JT @ r
+        J = (X[1:] - X[0]) / eps  # (n_par, amb): rows are parameter directions
+        G = J @ J.T
+        rhs = -J @ r
         accepted = False
         for _ in range(6):
             try:

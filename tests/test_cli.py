@@ -91,7 +91,7 @@ class TestExitCodes:
         code, out, err = run(capsys, "geodesic", "--model", "s3", "--alpha0", "nan")
         assert code == EXIT_USAGE
         assert out == ""
-        assert "Reeb momentum" in err and "non-finite" in err
+        assert "--alpha0" in err and "non-finite" in err
 
     def test_nan_in_report_returns_one(self, capsys, monkeypatch):
         # a NaN reaching the emitter is an error, never a report with NaN
@@ -129,8 +129,30 @@ class TestExitCodes:
     def test_bad_subcommand_returns_one(self, capsys):
         assert main(["no-such-command"]) == EXIT_USAGE
 
-    def test_malformed_numeric_flag_returns_one(self, capsys):
+    def test_malformed_numeric_flag_returns_one(self, capsys, monkeypatch):
         assert main(["diameter", "--pairs", "many"]) == EXIT_USAGE
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a command ran on a non-finite flag")
+
+        for name in ("cc_distance", "integrate_geodesic"):
+            monkeypatch.setattr(subriemannian, name, no_run)
+        heis = ["--model", "heisenberg", "--from", "0,0,0", "--to", "1,0,0"]
+        cases = [
+            (["geodesic", "--t-end", "inf"], "--t-end"),
+            (["geodesic", "--t-end", "nan"], "--t-end"),
+            (["geodesic", "--alpha0=-inf"], "--alpha0"),
+            (["cc-distance", *heis, "--t-max", "inf"], "--t-max"),
+            (["cc-distance", *heis, "--alpha0-max", "nan"], "--alpha0-max"),
+            (["check-identities", "--tol", "nan"], "--tol"),
+            (["dhomothety", "--mu", "inf"], "--mu"),
+            (["functionals", "--amplitude", "nan"], "--amplitude"),
+        ]
+        for argv, flag in cases:
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_USAGE, argv
+            assert out == ""
+            assert f"argument {flag}: non-finite value" in err, err
 
     def test_unwritable_output_returns_one(self, capsys):
         code, _, err = run(

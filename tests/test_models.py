@@ -93,6 +93,9 @@ class TestSampling:
         assert heis.tau == 0.0
 
 
+FLOW_KEYS = ("s3", "s5", "heisenberg", "s3-dhom:1.7")
+
+
 class TestClosedFormFlow:
     def test_heisenberg_circle_endpoint(self, heis):
         # Hand-rolled oracle: from the origin with horizontal direction
@@ -151,28 +154,37 @@ class TestClosedFormFlow:
         assert np.max(np.abs(eta[2:-2])) < 1e-5
 
 
-    @pytest.mark.parametrize("key", ["s3", "s5", "heisenberg", "s3-dhom:1.7"])
-    def test_batched_flow_matches_rows_and_rk4(self, key):
+    @pytest.mark.parametrize(
+        "key, mode",
+        [pytest.param(k, "sub", id=k) for k in FLOW_KEYS]
+        + [pytest.param(k, "riem", id=f"{k}-riem") for k in FLOW_KEYS],
+    )
+    def test_batched_flow_matches_rows_and_rk4(self, key, mode):
         # rows with a0 = 0, a Heisenberg turning rate a_z = 2 a0 small enough
-        # for the series branch all along (|a_z t| <= 4e-3 < 1e-2), and
-        # turning arcs; each row has its own time grid
+        # for the series branch all along (|a_z t| <= 4e-3 < 1e-2), turning
+        # arcs, and in riem mode the poles a0 = +-1 (pure Reeb motion); each
+        # row has its own time grid
         model = get_model(key)
         rng = np.random.default_rng(8)
-        a0 = np.array([0.0, 1e-3, 0.6, -1.4])
+        if mode == "sub":
+            a0, T = np.array([0.0, 1e-3, 0.6, -1.4]), np.array([2.0, 1.5, 1.8, 1.2])
+        else:
+            a0 = np.array([0.0, 1e-3, 0.6, -0.9, 1.0, -1.0])
+            T = np.array([2.0, 1.5, 1.8, 1.2, 1.6, 1.1])
         x = model.random_points(rng, a0.size)
         u = model.random_unit_horizontal(rng, x)
-        cov = model.covector_from(x, u, a0)
-        T = np.array([2.0, 1.5, 1.8, 1.2])
+        cov = sr._search_covector(model, x, u, a0, mode)
         steps = 4000
         t = T[:, None] * np.linspace(0.0, 1.0, steps + 1)[None, :]
-        batched = model.flow_positions(x, cov, t)
+        batched = sr._flow_positions(model, x, cov, t, mode)
         assert batched.shape == (a0.size, steps + 1, model.ambient_dim)
         exact = getattr(model, "source", model)
         scale = getattr(model, "mu", 1.0)
         for i in range(a0.size):
-            rows = exact.closed_form_from_covector(x[i], cov[i], scale * t[i])
-            assert np.max(np.abs(batched[i] - rows)) < 1e-12
-            state = sr.CotangentState.make(model, x[i], cov[i])
+            if mode == "sub":
+                rows = exact.closed_form_from_covector(x[i], cov[i], scale * t[i])
+                assert np.max(np.abs(batched[i] - rows)) < 1e-12
+            state = sr.CotangentState.make(model, x[i], cov[i], mode)
             path = sr.integrate_geodesic(model, state, T[i], steps)
             assert np.max(np.abs(batched[i] - path.points)) < 1e-9
 

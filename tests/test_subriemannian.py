@@ -94,14 +94,6 @@ class TestIntegration:
         assert inv.speed_relative_spread < 1e-9
 
 
-class RK4OnlySphere(models.SphereModel):
-    """The round sphere without its exact flow: every search integrates."""
-
-    @property
-    def flow_positions(self):
-        raise AttributeError("flow_positions")
-
-
 class OffsetFlowHeisenberg(models.HeisenbergModel):
     """A planted wrong exact flow: every position off by 1e-2."""
 
@@ -120,26 +112,30 @@ class CountingSphere(models.SphereModel):
 
 
 class TestFlowEvaluator:
-    def test_deformed_model_has_exact_flow_only_with_its_source(self):
-        assert hasattr(dh.apply(models.SphereModel(1), 2.0), "flow_positions")
-        assert not hasattr(dh.apply(RK4OnlySphere(1), 2.0), "flow_positions")
-
-    @pytest.mark.parametrize("route", ["exact", "rk4"])
-    def test_closest_approach_same_on_both_routes(self, s3, route, monkeypatch):
+    @pytest.mark.parametrize("mode", ["sub", "riem"])
+    def test_closest_approach_same_on_both_routes(self, s3, mode, monkeypatch):
         # blocks of 5 samples (12 rows x 4 coordinates each), the last one short
         monkeypatch.setattr(sr, "_FLOW_BLOCK", 5 * 12 * 4)
-        model = s3 if route == "exact" else RK4OnlySphere(1)
         rng = np.random.default_rng(6)
         p, q = s3.random_points(rng, 2)
         u = s3.random_unit_horizontal(rng, np.broadcast_to(p, (12, 4)))
-        a0 = np.linspace(-1.0, 1.0, 12)
+        a0 = np.linspace(-1.0, 1.0, 12)  # riem rows 0 and 11 are the poles
         X0 = np.broadcast_to(p, (12, 4))
-        cov = s3.covector_from(X0, u, a0)
+        cov = sr._search_covector(s3, X0, u, a0, mode)
         T = np.linspace(1.5, 3.0, 12)
-        miss, t_at = sr._batched_closest_approach(model, X0, cov, T, 300, q, "sub")
-        # reference: every row's exact trajectory sampled on its own grid
-        t = T[:, None] * np.linspace(0.0, 1.0, 301)[None, :]
-        pts = np.stack([s3.closed_form_from_covector(p, cov[i], t[i]) for i in range(12)])
+        miss, t_at = sr._batched_closest_approach(s3, X0, cov, T, 300, q, mode)
+        # reference: every row's trajectory sampled on its own grid, from the
+        # per-row closed form (sub) or a 3000-step RK4 (riem)
+        if mode == "sub":
+            t = T[:, None] * np.linspace(0.0, 1.0, 301)[None, :]
+            pts = np.stack([s3.closed_form_from_covector(p, cov[i], t[i]) for i in range(12)])
+        else:
+            pts = np.stack([
+                sr.integrate_geodesic(
+                    s3, sr.CotangentState.make(s3, p, cov[i], mode), T[i], 3000
+                ).points[::10]
+                for i in range(12)
+            ])
         ref_miss, ref_t = sr._closest_sample(
             np.sum((pts - q) ** 2, axis=-1).T, T / 300
         )
@@ -150,30 +146,31 @@ class TestFlowEvaluator:
         # the search follows the planted flow, but certification integrates:
         # any converged answer must land on the target under RK4
         model = OffsetFlowHeisenberg()
-        cfg = sr.ShootingConfig(
-            seed=3, n_directions=8, n_alpha0=5, widen_rounds=0, confirm_rounds=0,
-            max_refine_rounds=20,
-        )
         q = np.array([1.0, 0.0, 0.0])
-        for p in (np.zeros(3), np.array([0.99, 0.0, 0.0])):
-            r = sr.cc_distance(model, p, q, cfg)
-            assert r.converged == (r.miss <= cfg.hit_tol)
-            if r.converged:
-                steps = max(32, int(round(r.distance / cfg.certify_step)))
-                path = sr.integrate_geodesic(model, r.best_init, r.distance, steps)
-                assert np.linalg.norm(path.points[-1] - q) <= cfg.hit_tol + 1e-6
+        for mode in ("sub", "riem"):
+            cfg = sr.ShootingConfig(
+                seed=3, n_directions=8, n_alpha0=5, widen_rounds=0, confirm_rounds=0,
+                max_refine_rounds=20, mode=mode,
+            )
+            for p in (np.zeros(3), np.array([0.99, 0.0, 0.0])):
+                r = sr.cc_distance(model, p, q, cfg)
+                assert r.converged == (r.miss <= cfg.hit_tol)
+                if r.converged:
+                    steps = max(32, int(round(r.distance / cfg.certify_step)))
+                    path = sr.integrate_geodesic(model, r.best_init, r.distance, steps)
+                    assert path.mode == mode
+                    assert np.linalg.norm(path.points[-1] - q) <= cfg.hit_tol + 1e-6
 
-    def test_riem_search_never_uses_exact_flow(self):
-        model = CountingSphere(1)
+    def test_both_modes_use_exact_flow(self):
         p, q = np.array([1.0, 0, 0, 0]), np.array([0.0, 1, 0, 0])
         quick = dict(
             seed=1, n_directions=8, n_alpha0=5, widen_rounds=0, confirm_rounds=0,
             max_refine_rounds=10,
         )
-        sr.cc_distance(model, p, q, sr.ShootingConfig(mode="riem", **quick))
-        assert model.flow_calls == 0
-        sr.cc_distance(model, p, q, sr.ShootingConfig(mode="sub", **quick))
-        assert model.flow_calls > 0
+        for mode in ("sub", "riem"):
+            model = CountingSphere(1)
+            sr.cc_distance(model, p, q, sr.ShootingConfig(mode=mode, **quick))
+            assert model.flow_calls > 0
 
 
 class TestBracketGeneration:
