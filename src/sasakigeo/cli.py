@@ -78,6 +78,22 @@ def _finite_float(text: str) -> float:
     return value
 
 
+# Finest step a command samples a horizon at by default (geodesic's t/1e-3).
+_FINEST_STEP = 1e-3
+
+
+def _horizon(text: str) -> float:
+    """argparse type of the time flags: positive, and few enough steps to index an array."""
+    value = _finite_float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"horizon must be positive, got {text!r}")
+    if not value / _FINEST_STEP < sys.maxsize:
+        raise argparse.ArgumentTypeError(
+            f"horizon {text!r} is too large: over {sys.maxsize} steps of {_FINEST_STEP:g}"
+        )
+    return value
+
+
 def _parse_vector(text: str, expected_dim: int | None = None) -> np.ndarray:
     try:
         vec = np.array([float(tok) for tok in text.split(",")], dtype=float)
@@ -146,7 +162,7 @@ def _cmd_geodesic(args) -> int:
     direction = direction / norm
     cov = model.covector_from(point, direction, args.alpha0)
     state = subriemannian.CotangentState.make(model, point, cov, args.mode)
-    steps = args.steps or max(16, int(round(args.t_end / 1e-3)))
+    steps = args.steps or max(16, int(round(args.t_end / _FINEST_STEP)))
     path = subriemannian.integrate_geodesic(model, state, args.t_end, steps)
     inv = path.invariants(model)
     residual = subriemannian.geodesic_residual(model, path)
@@ -494,7 +510,7 @@ def build_parser() -> _Parser:
     p.add_argument("--point", default=None, help="start point (comma-separated)")
     p.add_argument("--direction", default=None, help="initial horizontal direction")
     p.add_argument("--alpha0", type=_finite_float, default=0.3, help="Reeb momentum")
-    p.add_argument("--t-end", type=_finite_float, default=float(2.0 * np.pi))
+    p.add_argument("--t-end", type=_horizon, default=float(2.0 * np.pi))
     p.add_argument("--steps", type=int, default=None, help="step count (default t/1e-3)")
     p.add_argument("--mode", choices=("sub", "riem"), default="sub")
     p.add_argument("--csv", default=None, help="write the sampled path as CSV")
@@ -504,7 +520,7 @@ def build_parser() -> _Parser:
     p.add_argument("--to", required=True, help="target point (comma-separated)")
     p.add_argument("--alpha0-max", type=_finite_float, default=4.0)
     p.add_argument(
-        "--t-max", type=_finite_float, default=None, help="search horizon (default: model rule)"
+        "--t-max", type=_horizon, default=None, help="search horizon (default: model rule)"
     )
 
     p = add("diameter", _cmd_diameter, "diameter estimate over random pairs")

@@ -138,21 +138,31 @@ class TestExitCodes:
         for name in ("cc_distance", "integrate_geodesic"):
             monkeypatch.setattr(subriemannian, name, no_run)
         heis = ["--model", "heisenberg", "--from", "0,0,0", "--to", "1,0,0"]
+        nonfinite = "non-finite value"
+        negative = "horizon must be positive"
+        # finite, but more steps than an array can index: int() of the step
+        # count used to overflow with a traceback
+        huge = "horizon '1e308' is too large"
         cases = [
-            (["geodesic", "--t-end", "inf"], "--t-end"),
-            (["geodesic", "--t-end", "nan"], "--t-end"),
-            (["geodesic", "--alpha0=-inf"], "--alpha0"),
-            (["cc-distance", *heis, "--t-max", "inf"], "--t-max"),
-            (["cc-distance", *heis, "--alpha0-max", "nan"], "--alpha0-max"),
-            (["check-identities", "--tol", "nan"], "--tol"),
-            (["dhomothety", "--mu", "inf"], "--mu"),
-            (["functionals", "--amplitude", "nan"], "--amplitude"),
+            (["geodesic", "--t-end", "inf"], "--t-end", nonfinite),
+            (["geodesic", "--t-end", "nan"], "--t-end", nonfinite),
+            (["geodesic", "--t-end", "-1"], "--t-end", negative),
+            (["geodesic", "--t-end", "0"], "--t-end", negative),
+            (["geodesic", "--t-end", "1e308"], "--t-end", huge),
+            (["geodesic", "--alpha0=-inf"], "--alpha0", nonfinite),
+            (["cc-distance", *heis, "--t-max", "inf"], "--t-max", nonfinite),
+            (["cc-distance", *heis, "--t-max", "-1"], "--t-max", negative),
+            (["cc-distance", *heis, "--t-max", "1e308"], "--t-max", huge),
+            (["cc-distance", *heis, "--alpha0-max", "nan"], "--alpha0-max", nonfinite),
+            (["check-identities", "--tol", "nan"], "--tol", nonfinite),
+            (["dhomothety", "--mu", "inf"], "--mu", nonfinite),
+            (["functionals", "--amplitude", "nan"], "--amplitude", nonfinite),
         ]
-        for argv, flag in cases:
+        for argv, flag, what in cases:
             code, out, err = run(capsys, *argv)
             assert code == EXIT_USAGE, argv
             assert out == ""
-            assert f"argument {flag}: non-finite value" in err, err
+            assert f"argument {flag}: {what}" in err, err
 
     def test_unwritable_output_returns_one(self, capsys):
         code, _, err = run(

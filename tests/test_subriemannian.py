@@ -173,6 +173,49 @@ class TestFlowEvaluator:
             assert model.flow_calls > 0
 
 
+class TestCertificate:
+    @pytest.mark.parametrize(
+        "key, mode, seed",
+        [("s3", "sub", 17), ("heisenberg", "sub", 9), ("s3-dhom:2.0", "riem", 4)],
+    )
+    def test_miss_bounds_the_exact_endpoint(self, key, mode, seed):
+        # the certified miss carries the Richardson term, so it is no smaller
+        # than the distance from the exact flow's point at t_f to the target
+        model = models.get_model(key)
+        p, q = model.random_points(np.random.default_rng(seed), 2)
+        r = sr.cc_distance(model, p, q, sr.ShootingConfig(seed=seed, mode=mode))
+        assert r.converged
+        init = r.best_init
+        x_f = sr._flow_positions(
+            model, init.point[None], init.covector[None], np.array([[r.distance]]), mode
+        )[0, 0]
+        assert r.miss >= np.linalg.norm(x_f - q) - 1e-12
+
+    def test_antipode_time(self, s3):
+        p = np.array([1.0, 0, 0, 0])
+        r = sr.cc_distance(s3, p, -p)
+        assert r.converged
+        assert abs(r.distance - math.pi) < 1e-8
+
+    def test_screened_probe_runs_no_rk4(self, heis, monkeypatch):
+        # the confirm probe's candidate misses by far more than hit_tol on the
+        # exact flow, so only the converged candidate's two step-doubling
+        # integrations run
+        calls = []
+        integrate = sr.integrate_geodesic
+
+        def counting(*args, **kwargs):
+            calls.append(args[2:4])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(sr, "integrate_geodesic", counting)
+        r = sr.cc_distance(heis, np.zeros(3), np.array([1.0, 0, 0]))
+        assert r.converged
+        assert len(calls) == 2
+        (t_h, n_h), (t_h2, n_h2) = calls
+        assert t_h == t_h2 and n_h2 == 2 * n_h
+
+
 class TestBracketGeneration:
     @pytest.mark.parametrize("key", ["s3", "s5", "heisenberg"])
     def test_contact_bracket_value(self, key):
