@@ -18,16 +18,21 @@ by more than ``hit_tol`` is not integrated.
 
 Distances are estimated by shooting: a coarse grid over unit horizontal
 directions crossed with a Reeb-momentum grid, followed by compass (pattern)
-search on (direction, a0) where the time variable is handled by recording the
-closest approach to the target along each trajectory (with sub-step parabolic
-interpolation).  Found lengths are upper bounds for the Carnot-Caratheodory
-distance; a miss within ``hit_tol`` of the target is required before a value
-is reported, otherwise the search returns a budget-exhausted status.
+search and Gauss-Newton on (direction, a0) where the time variable is handled
+by recording the closest approach to the target along each trajectory (with
+sub-step parabolic interpolation).  Directions are unit rows ``c`` of frame
+coordinates in the orthonormal horizontal frame at the start point ``p``; one
+linear chart per search pass turns ``(c, a0)`` into unit-speed covectors, and
+between chart evaluations the search calls the model only through its exact
+flow.  Found lengths are upper bounds for the Carnot-Caratheodory distance; a
+miss within ``hit_tol`` of the target is required before a value is reported,
+otherwise the search returns a budget-exhausted status.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -345,14 +350,26 @@ class ShootingConfig:
     alpha0_cap: float = 32.0
     mode: str = "sub"
 
+    def __post_init__(self):
+        for name in ("alpha0_max", "search_step", "certify_step", "hit_tol", "plateau_tol",
+                     "alpha0_cap") + (() if self.t_max is None else ("t_max",)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        for name, least in (("n_directions", 1), ("n_alpha0", 1), ("top_k", 0),
+                            ("max_refine_rounds", 0), ("widen_rounds", 0), ("confirm_rounds", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if self.mode not in ("sub", "riem"):
+            raise ValueError(f"mode must be 'sub' or 'riem', got {self.mode!r}")
+
     def resolved_t_max(self, model: SasakiModel) -> float:
         if self.t_max is not None:
             return float(self.t_max)
-        tau = getattr(model, "tau", 0.0)
-        if tau > 0:
-            # a positive transverse Ricci bound caps lengths of minimizers
-            return 1.25 * 2.0 * math.pi * math.sqrt((2 * model.n - 1) / tau)
-        return 8.0
+        # a positive transverse Ricci bound caps lengths of minimizers
+        bound = theoretical_diameter_bound(model)
+        return 1.25 * bound if bound is not None else 8.0
 
 
 @dataclass
@@ -434,30 +451,49 @@ def _batched_closest_approach(model, x0, a0cov, T, n_steps, target, mode):
     return _closest_sample(d2, T / n_steps)
 
 
-def _direction_basis(model, p, u):
-    """Orthonormal horizontal directions perpendicular to ``u`` at ``p``."""
-    frame = model.orthonormal_frame(p)
+def _frame_chart(model, p, mode):
+    """Unit-speed covectors ``c F^flat + a0 eta`` at ``p`` of unit frame coordinates ``c``.
+
+    ``F`` is the orthonormal horizontal frame at ``p``; ``F^flat`` and ``eta``
+    are evaluated once here.  In Riemannian mode the velocity picks up an
+    ``a0 xi`` component, so ``c`` shrinks by ``sqrt(1 - a0^2)`` to keep flow
+    time equal to arclength (the search ranks candidates by flow time, which
+    must mean length in both modes).
+    """
+    flat_frame = model.flat(p, model.orthonormal_frame(p)[: 2 * model.n])
+    eta = model.eta_covector(p)
+
+    def covectors(c, a0):
+        """Covectors (rows, d) of the rows ``c`` (rows, 2n) and momenta ``a0`` (rows,)."""
+        a0 = np.asarray(a0, dtype=float)
+        if mode == "riem":
+            c = c * np.sqrt(np.maximum(1.0 - a0 * a0, 0.0))[:, None]
+        return c @ flat_frame + a0[:, None] * eta
+
+    return covectors
+
+
+def _unit(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _direction_basis(c):
+    """Orthonormal rows of ``R^{2n}`` perpendicular to the unit row ``c``."""
     basis = []
-    for i in range(2 * model.n):
-        cand = frame[i]
-        cand = cand - model.metric(p, cand, u) * u
+    for e in np.eye(c.size):
+        cand = e - (e @ c) * c
         for b in basis:
-            cand = cand - model.metric(p, cand, b) * b
-        norm = math.sqrt(max(float(model.metric(p, cand, cand)), 0.0))
+            cand = cand - (cand @ b) * b
+        norm = math.sqrt(float(cand @ cand))
         if norm > 1e-6:
             basis.append(cand / norm)
-        if len(basis) == 2 * model.n - 1:
+        if len(basis) == c.size - 1:
             break
-    return basis
+    return np.array(basis)
 
 
-def _normalize_horizontal(model, p, u):
-    u = model.horizontal_project(p, u)
-    return u / math.sqrt(float(model.metric(p, u, u)))
-
-
-def _scan_directions(model, p, count, rng):
-    """Unit horizontal directions at ``p`` with guaranteed angular coverage.
+def _scan_directions(h, count, rng):
+    """Unit rows of ``R^h`` (frame coordinates) with guaranteed angular coverage.
 
     Independent uniform draws leave coverage gaps that can hide a whole
     attraction basin from the coarse scan.  With horizontal rank 2 the
@@ -467,31 +503,10 @@ def _scan_directions(model, p, count, rng):
     direction sphere.  Both stay deterministic in ``rng`` and change with it
     across widen/confirm passes.
     """
-    frame = np.asarray(model.orthonormal_frame(p))
-    h = 2 * model.n
     if h == 2:
         ang = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi * np.arange(count) / count
-        coef = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    else:
-        coef = qmc.MultivariateNormalQMC(np.zeros(h), seed=rng).random(count)
-        coef /= np.linalg.norm(coef, axis=1, keepdims=True)
-    dirs = coef @ frame[:h]
-    norms = np.sqrt(model.metric(p, dirs, dirs))
-    return dirs / norms[:, None]
-
-
-def _search_covector(model, x, u, a0, mode):
-    """Unit-speed covector with horizontal direction ``u`` and Reeb momentum ``a0``.
-
-    In Riemannian mode the velocity picks up an ``a0 xi`` component, so the
-    horizontal part shrinks to keep flow time equal to arclength (the search
-    ranks candidates by flow time, which must mean length in both modes).
-    """
-    a0 = np.asarray(a0, dtype=float)
-    if mode == "riem":
-        scale = np.sqrt(np.maximum(1.0 - a0 * a0, 0.0))
-        u = np.asarray(u) * scale[..., None]
-    return model.covector_from(x, u, a0)
+        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    return _unit(qmc.MultivariateNormalQMC(np.zeros(h), seed=rng).random(count))
 
 
 def cc_distance(
@@ -556,8 +571,8 @@ def _search_once(model, p, q, cfg, t_max, A, round_id=0):
     # the round id decorrelates draws across widen/confirm passes so a re-scan
     # explores genuinely new directions instead of replaying the first grid
     rng = np.random.default_rng([cfg.seed, 0x5EED, round_id])
-    pts = np.broadcast_to(p, (cfg.n_directions,) + p.shape)
-    dirs = _scan_directions(model, p, cfg.n_directions, rng)
+    chart = _frame_chart(model, p, mode)
+    dirs = _scan_directions(2 * model.n, cfg.n_directions, rng)
     # Riemannian momenta live on the unit sphere of the full tangent space,
     # so the Reeb coordinate is capped at 1 there (the pole is the pure Reeb
     # geodesic; every direction row collapses onto it, which is harmless)
@@ -565,12 +580,11 @@ def _search_once(model, p, q, cfg, t_max, A, round_id=0):
     a0s = np.linspace(-A_eff, A_eff, cfg.n_alpha0)
 
     # coarse grid: every direction with every Reeb momentum, unit speed
-    D = np.repeat(dirs, cfg.n_alpha0, axis=0)
     A0 = np.tile(a0s, cfg.n_directions)
-    X0 = np.repeat(pts, cfg.n_alpha0, axis=0)
-    cov = _search_covector(model, X0, D, A0, mode)
+    cov = chart(np.repeat(dirs, cfg.n_alpha0, axis=0), A0)
+    X0 = np.broadcast_to(p, cov.shape)
     n_coarse = max(16, int(round(t_max / cfg.search_step)))
-    T = np.full(D.shape[0], t_max)
+    T = np.full(A0.size, t_max)
     miss, t_at = _batched_closest_approach(model, X0, cov, T, n_coarse, q, mode)
 
     # Seed set: the overall closest approaches plus the closest approach
@@ -597,7 +611,7 @@ def _search_once(model, p, q, cfg, t_max, A, round_id=0):
         if hit_lengths and t_at[row] > min(hit_lengths) + 0.2:
             continue  # seeded longer than a connection already in hand
         cand = _refine_candidate(
-            model, p, q, dirs[row // cfg.n_alpha0], A0[row], t_at[row], cfg, t_max
+            model, chart, p, q, dirs[row // cfg.n_alpha0], A0[row], t_at[row], cfg, t_max
         )
         total_rounds += cand[5]
         refined.append(cand)
@@ -611,9 +625,9 @@ def _search_once(model, p, q, cfg, t_max, A, round_id=0):
 
     refined.sort(key=_rank)
     last = None
-    for miss_c, t_c, u_c, a0_c, plateau, _ in refined:
+    for miss_c, t_c, c_c, a0_c, plateau, _ in refined:
         horizon = min(max(1.25 * t_c, 0.4), t_max)
-        state = CotangentState.make(model, p, _search_covector(model, p, u_c, a0_c, mode), mode)
+        state = CotangentState.make(model, p, chart(c_c[None], [a0_c])[0], mode)
         miss_f, t_f = _certify(model, state, horizon, q, cfg.certify_step, cfg.hit_tol)
         boundary = abs(a0_c) > 0.95 * A
         last = (state, miss_f, a0_c, boundary, plateau)
@@ -697,13 +711,14 @@ def _certify(model, state, horizon, q, step, hit_tol):
     return miss + 16.0 / 15.0 * float(np.max(gap)), t_f
 
 
-def _refine_candidate(model, p, q, u, a0, t_seed, cfg, t_max):
+def _refine_candidate(model, chart, p, q, c, a0, t_seed, cfg, t_max):
     """Two-phase local solve: compass walk, then damped Gauss-Newton.
 
     The compass phase moves (direction, Reeb momentum) until the closest
     approach is roughly in the attraction basin; Gauss-Newton then drives the
     endpoint onto the target at a fixed flight time, re-estimating that time
-    after every accepted step.
+    after every accepted step.  Directions are unit rows ``c`` in the frame
+    coordinates of ``chart``, the only route from them to covectors.
     """
     mode = cfg.mode
     # keep the local horizon tight around the seeded flight time: a generous
@@ -712,13 +727,13 @@ def _refine_candidate(model, p, q, u, a0, t_seed, cfg, t_max):
     t_loc = min(max(1.15 * t_seed + 0.2, 0.3), t_max)
     n_steps = max(16, int(round(t_loc / cfg.search_step)))
 
-    def rows(us, a0s):
-        X0 = np.broadcast_to(p, (len(us),) + p.shape)
-        return X0, _search_covector(model, X0, np.stack(us), np.asarray(a0s, dtype=float), mode)
+    def rows(cs, a0s):
+        cov = chart(cs, a0s)
+        return np.broadcast_to(p, cov.shape), cov
 
-    def evaluate(us, a0s):
-        X0, cov = rows(us, a0s)
-        T = np.full(len(us), t_loc)
+    def evaluate(cs, a0s):
+        X0, cov = rows(cs, a0s)
+        T = np.full(len(cs), t_loc)
         return _batched_closest_approach(model, X0, cov, T, n_steps, q, mode)
 
     def clamp_a0(v):
@@ -726,8 +741,8 @@ def _refine_candidate(model, p, q, u, a0, t_seed, cfg, t_max):
             return float(np.clip(v, -1.0, 1.0))
         return float(v)
 
-    u = _normalize_horizontal(model, p, u)
-    miss, t_at = evaluate([u], [a0])
+    c = _unit(c)
+    miss, t_at = evaluate(c[None], [a0])
     miss, t_at = float(miss[0]), float(t_at[0])
     d_dir, d_a0 = 0.25, 0.5
     plateau = False
@@ -736,19 +751,15 @@ def _refine_candidate(model, p, q, u, a0, t_seed, cfg, t_max):
     compass_cap = min(30, cfg.max_refine_rounds)
     while rounds < compass_cap and miss > 0.05:
         rounds += 1
-        basis = _direction_basis(model, p, u)
-        probes_u, probes_a = [], []
-        for b in basis:
-            for s in (+1.0, -1.0):
-                probes_u.append(_normalize_horizontal(model, p, u + s * d_dir * b))
-                probes_a.append(a0)
-        for s in (+1.0, -1.0):
-            probes_u.append(u)
-            probes_a.append(clamp_a0(a0 + s * d_a0))
-        pm, pt = evaluate(probes_u, probes_a)
+        # +-d_dir along each basis row in turn, then +-d_a0
+        B = _direction_basis(c)
+        moved = _unit(np.stack([c + d_dir * B, c - d_dir * B], axis=1).reshape(-1, c.size))
+        probes_c = np.vstack([moved, c, c])
+        probes_a = [a0] * len(moved) + [clamp_a0(a0 + d_a0), clamp_a0(a0 - d_a0)]
+        pm, pt = evaluate(probes_c, probes_a)
         k = int(np.argmin(pm))
         if float(pm[k]) < miss:
-            u, a0 = probes_u[k], probes_a[k]
+            c, a0 = probes_c[k], probes_a[k]
             miss, t_at = float(pm[k]), float(pt[k])
             plateau = abs(t_at - last_length) < cfg.plateau_tol
             last_length = t_at
@@ -766,17 +777,12 @@ def _refine_candidate(model, p, q, u, a0, t_seed, cfg, t_max):
     t_cur = max(t_at, 4 * cfg.search_step)
     while rounds < cfg.max_refine_rounds and miss > 0.05 * cfg.hit_tol:
         rounds += 1
-        basis = _direction_basis(model, p, u)
-        n_par = len(basis) + 1
-        us = [u]
-        a0s = [a0]
-        for b in basis:
-            us.append(_normalize_horizontal(model, p, u + eps * b))
-            a0s.append(a0)
-        us.append(u)
-        a0s.append(a0 + eps)
-        X0, cov = rows(us, a0s)
-        X = _flow_positions(model, X0, cov, np.full((len(us), 1), t_cur), mode)[:, 0]
+        B = _direction_basis(c)
+        n_par = len(B) + 1
+        cs = np.vstack([c, _unit(c + eps * B), c])
+        a0s = [a0] * n_par + [a0 + eps]
+        X0, cov = rows(cs, a0s)
+        X = _flow_positions(model, X0, cov, np.full((len(cs), 1), t_cur), mode)[:, 0]
         r = X[0] - q
         J = (X[1:] - X[0]) / eps  # (n_par, amb): rows are parameter directions
         G = J @ J.T
@@ -788,13 +794,12 @@ def _refine_candidate(model, p, q, u, a0, t_seed, cfg, t_max):
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            u_new = u + sum(float(delta[i]) * basis[i] for i in range(len(basis)))
-            u_new = _normalize_horizontal(model, p, u_new)
+            c_new = _unit(c + delta[:-1] @ B)
             a0_new = clamp_a0(a0 + float(delta[-1]))
-            m_new, t_new = evaluate([u_new], [a0_new])
+            m_new, t_new = evaluate(c_new[None], [a0_new])
             m_new, t_new = float(m_new[0]), float(t_new[0])
             if m_new < miss:
-                u, a0, miss = u_new, a0_new, m_new
+                c, a0, miss = c_new, a0_new, m_new
                 t_at = t_new
                 plateau = abs(t_at - last_length) < cfg.plateau_tol
                 last_length = t_at
@@ -806,7 +811,7 @@ def _refine_candidate(model, p, q, u, a0, t_seed, cfg, t_max):
         if not accepted:
             plateau = True
             break
-    return miss, t_at, u, a0, plateau, rounds
+    return miss, t_at, c, a0, plateau, rounds
 
 
 # ---------------------------------------------------------------------------
@@ -890,9 +895,12 @@ def geodesic_from_result(
     return integrate_geodesic(model, result.best_init, result.distance, steps)
 
 
+def _myers_bound(n: int, tau: float) -> float:
+    """``2 pi sqrt((2n-1)/tau)``: the length bound for minimizers when Ric^T >= tau g^T, tau > 0."""
+    return 2.0 * math.pi * math.sqrt((2 * n - 1) / tau)
+
+
 def theoretical_diameter_bound(model: SasakiModel) -> float | None:
-    """Diameter bound ``2 pi sqrt((2n-1)/tau)`` when Ric^T >= tau g^T, tau > 0."""
+    """The model's :func:`_myers_bound` at its transverse Ricci bound, if positive."""
     tau = getattr(model, "tau", 0.0)
-    if tau > 0:
-        return 2.0 * math.pi * math.sqrt((2 * model.n - 1) / tau)
-    return None
+    return _myers_bound(model.n, tau) if tau > 0 else None

@@ -20,7 +20,7 @@ from scipy.integrate import simpson
 
 from .core import SasakiModel, ricci_transverse, transverse_curvature
 from .numdiff import path_derivative
-from .subriemannian import GeodesicPath
+from .subriemannian import GeodesicPath, _myers_bound
 
 __all__ = [
     "ParallelFrame",
@@ -298,12 +298,15 @@ def sine_frame_fields(
     return fields
 
 
-def phi_reeb_field(model: SasakiModel, path: GeodesicPath) -> VariationField:
-    """The field h Phi gamma' + k xi with h = sin(2 pi t / l), k' = 2h."""
-    length = float(path.t[-1])
+def _phi_reeb_profile(t: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients ``h = sin(2 pi t / l)`` and ``k = (l / pi)(1 - cos(2 pi t / l))``, so k' = 2h."""
     w = 2.0 * np.pi / length
-    h = np.sin(w * path.t)
-    k = (length / np.pi) * (1.0 - np.cos(w * path.t))
+    return np.sin(w * t), (length / np.pi) * (1.0 - np.cos(w * t))
+
+
+def phi_reeb_field(model: SasakiModel, path: GeodesicPath) -> VariationField:
+    """The field h Phi gamma' + k xi of :func:`_phi_reeb_profile`."""
+    h, k = _phi_reeb_profile(path.t, float(path.t[-1]))
     pvel = model.phi(path.points, path.velocities)
     xi = model.reeb(path.points)
     vals = h[:, None] * pvel + k[:, None] * xi
@@ -422,8 +425,7 @@ def check_variation_identities(
 
     V = phi_reeb_field(model, path)
     pts, vel, dt = _field_geometry(model, V)
-    h = np.sin(w * V.t)
-    k = (length / np.pi) * (1.0 - np.cos(w * V.t))
+    h, k = _phi_reeb_profile(V.t, length)
     hdd = -(w**2) * h
     W = V.values
     DW = _covariant_along(model, pts, vel, W, dt)
@@ -512,5 +514,4 @@ def myers_certificate(
         )
     integral = float(simpson(_myers_integrand(model, path), x=path.t))
     length = float(path.t[-1])
-    bound = 2.0 * np.pi * np.sqrt((2 * model.n - 1) / tau)
-    return MyersCertificate(integral, length, bound, tau)
+    return MyersCertificate(integral, length, _myers_bound(model.n, tau), tau)

@@ -163,6 +163,10 @@ class TestExitCodes:
             assert code == EXIT_USAGE, argv
             assert out == ""
             assert f"argument {flag}: {what}" in err, err
+        # a finite but non-positive momentum cap is refused by ShootingConfig
+        code, out, err = run(capsys, "cc-distance", *heis, "--alpha0-max", "-1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "alpha0_max must be finite and positive" in err, err
 
     def test_unwritable_output_returns_one(self, capsys):
         code, _, err = run(

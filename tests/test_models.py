@@ -172,8 +172,11 @@ class TestClosedFormFlow:
             a0 = np.array([0.0, 1e-3, 0.6, -0.9, 1.0, -1.0])
             T = np.array([2.0, 1.5, 1.8, 1.2, 1.6, 1.1])
         x = model.random_points(rng, a0.size)
-        u = model.random_unit_horizontal(rng, x)
-        cov = sr._search_covector(model, x, u, a0, mode)
+        c = rng.standard_normal((a0.size, 2 * model.n))
+        c /= np.linalg.norm(c, axis=1, keepdims=True)
+        cov = np.concatenate(
+            [sr._frame_chart(model, x[i], mode)(c[i:i + 1], a0[i:i + 1]) for i in range(a0.size)]
+        )
         steps = 4000
         t = T[:, None] * np.linspace(0.0, 1.0, steps + 1)[None, :]
         batched = sr._flow_positions(model, x, cov, t, mode)

@@ -118,10 +118,11 @@ class TestFlowEvaluator:
         monkeypatch.setattr(sr, "_FLOW_BLOCK", 5 * 12 * 4)
         rng = np.random.default_rng(6)
         p, q = s3.random_points(rng, 2)
-        u = s3.random_unit_horizontal(rng, np.broadcast_to(p, (12, 4)))
+        c = rng.standard_normal((12, 2))
+        c /= np.linalg.norm(c, axis=1, keepdims=True)
         a0 = np.linspace(-1.0, 1.0, 12)  # riem rows 0 and 11 are the poles
         X0 = np.broadcast_to(p, (12, 4))
-        cov = sr._search_covector(s3, X0, u, a0, mode)
+        cov = sr._frame_chart(s3, p, mode)(c, a0)
         T = np.linspace(1.5, 3.0, 12)
         miss, t_at = sr._batched_closest_approach(s3, X0, cov, T, 300, q, mode)
         # reference: every row's trajectory sampled on its own grid, from the
@@ -171,6 +172,85 @@ class TestFlowEvaluator:
             model = CountingSphere(1)
             sr.cc_distance(model, p, q, sr.ShootingConfig(mode=mode, **quick))
             assert model.flow_calls > 0
+
+
+class CountingFrameSphere(models.SphereModel):
+    def __init__(self, n):
+        super().__init__(n)
+        self.frame_calls = 0
+
+    def orthonormal_frame(self, x):
+        self.frame_calls += 1
+        return super().orthonormal_frame(x)
+
+
+class TestFrameChart:
+    @pytest.mark.parametrize("key", ["s3", "s5", "heisenberg", "s3-dhom:1.7"])
+    @pytest.mark.parametrize("mode", ["sub", "riem"])
+    def test_rows_are_unit_speed_covectors(self, key, mode):
+        # the chart is covector_from at the frame combination (shrunk by
+        # sqrt(1 - a0^2) in riem mode, zero at the poles a0 = +-1)
+        model = models.get_model(key)
+        rng = np.random.default_rng(17)
+        p = model.random_points(rng, 1)[0]
+        h = 2 * model.n
+        c = rng.standard_normal((7, h))
+        c /= np.linalg.norm(c, axis=1, keepdims=True)
+        a0 = np.array([-1.0, -0.6, 0.0, 0.3, 0.9, 1.0, 0.5])
+        if mode == "sub":
+            a0 = 2.5 * a0
+        scaled = c * np.sqrt(1.0 - a0**2)[:, None] if mode == "riem" else c
+        F = model.orthonormal_frame(p)[:h]
+        cov = sr._frame_chart(model, p, mode)(c, a0)
+        ref = model.covector_from(np.broadcast_to(p, (7, p.size)), scaled @ F, a0)
+        assert np.max(np.abs(cov - ref)) < 1e-13
+        for row in cov:
+            state = sr.CotangentState.make(model, p, row, mode)
+            assert abs(state.h_value - 0.5) < 1e-12
+        for ci in c:
+            B = sr._direction_basis(ci)
+            assert B.shape == (h - 1, h)
+            assert np.max(np.abs(B @ B.T - np.eye(h - 1))) < 1e-13
+            assert np.max(np.abs(B @ ci)) < 1e-13
+
+    def test_frame_built_once_per_pass(self, monkeypatch):
+        model = CountingFrameSphere(1)
+        passes = []
+        search_once = sr._search_once
+
+        def counted(*args):
+            passes.append(args[-1])
+            return search_once(*args)
+
+        monkeypatch.setattr(sr, "_search_once", counted)
+        rng = np.random.default_rng(4)
+        p, q = model.random_points(rng, 2)
+        r = sr.cc_distance(model, p, q, sr.ShootingConfig(seed=4))
+        assert r.converged and r.rounds > len(passes) > 1
+        assert model.frame_calls == len(passes)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"t_max": -1.0}, {"t_max": math.inf}, {"certify_step": 0.0},
+            {"search_step": math.nan}, {"hit_tol": -1e-3}, {"plateau_tol": 0.0},
+            {"alpha0_max": 0.0}, {"alpha0_cap": math.inf}, {"n_directions": 0},
+            {"n_alpha0": 0}, {"top_k": -1}, {"max_refine_rounds": 2.5},
+            {"widen_rounds": -1}, {"confirm_rounds": "4"}, {"mode": "Riem"},
+        ],
+        ids=lambda bad: next(iter(bad)),
+    )
+    def test_rejected(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            sr.ShootingConfig(**bad)
+
+    def test_edge_values_accepted(self, s3, heis):
+        cfg = sr.ShootingConfig(top_k=0, widen_rounds=0, confirm_rounds=0, max_refine_rounds=0)
+        assert cfg.resolved_t_max(s3) == pytest.approx(1.25 * math.pi, rel=1e-15)
+        assert cfg.resolved_t_max(heis) == 8.0
+        assert sr.ShootingConfig(t_max=2.0, mode="riem").resolved_t_max(s3) == 2.0
 
 
 class TestCertificate:
