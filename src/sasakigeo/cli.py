@@ -78,6 +78,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of the finite, strictly positive float flags."""
+    value = _finite_float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"non-positive value {text!r}")
+    return value
+
+
 # Finest step a command samples a horizon at by default (geodesic's t/1e-3).
 _FINEST_STEP = 1e-3
 
@@ -518,7 +526,7 @@ def build_parser() -> _Parser:
     p = add("cc-distance", _cmd_cc_distance, "distance between two points")
     p.add_argument("--from", required=True, help="start point (comma-separated)")
     p.add_argument("--to", required=True, help="target point (comma-separated)")
-    p.add_argument("--alpha0-max", type=_finite_float, default=4.0)
+    p.add_argument("--alpha0-max", type=_positive_float, default=4.0)
     p.add_argument(
         "--t-max", type=_horizon, default=None, help="search horizon (default: model rule)"
     )
@@ -533,7 +541,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pairs", type=int, default=4)
 
     p = add("dhomothety", _cmd_dhomothety, "deformation scaling checks")
-    p.add_argument("--mu", type=_finite_float, required=True, help="deformation parameter")
+    p.add_argument("--mu", type=_positive_float, required=True, help="deformation parameter")
     p.add_argument("--samples", type=int, default=100000, help="volume MC samples")
 
     p = add("functionals", _cmd_functionals, "energy functionals on potentials")

@@ -202,6 +202,8 @@ def volume_scaling_check(
     Gram determinants of the metrics on a common tangent frame, and the
     pointwise ratios are averaged over the samples.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     deformed = apply(model, mu)
     rng = np.random.default_rng(seed)
     x = model.random_points(rng, samples)

@@ -256,12 +256,15 @@ def functional_M(path: PotentialPath, calibration: float = 0.5) -> float:
     _require_nodes(path)
     path.require_positive()
     grid = path.grid
-
-    def node(phi: BasicPotential, dot: BasicPotential) -> float:
-        s_t = transverse_scalar_curvature(phi, calibration)
-        return -grid.mean(dot.values * (s_t - ROUND_TRANSVERSE_SCALAR) * phi.u())
-
-    return sum(_segment_integral(grid, seg, node) for seg in path.segments)
+    total = 0.0
+    for seg in path.segments:
+        s_t = transverse_scalar_curvature(seg.phis, calibration)  # one batch per segment
+        vals = [
+            -grid.mean(dot.values * (s - ROUND_TRANSVERSE_SCALAR) * phi.u())
+            for phi, dot, s in zip(seg.phis, seg.phidots, s_t)
+        ]
+        total += float(simpson(vals, x=seg.ts))
+    return total
 
 
 def ij_derivative_check(path: PotentialPath) -> float:
@@ -298,7 +301,7 @@ def ij_derivative_check(path: PotentialPath) -> float:
         j_t = grid.mean(psi * u_a) - l_cum[j]
         f[j] = i_t - j_t
         # deformed Laplacian against the deformed measure; the densities cancel
-        rhs[j] = grid.mean(phi.values * (dot.box0() / u_t) * u_t)
+        rhs[j] = grid.mean(phi.values * dot.box0())
     dt = float(seg.ts[1] - seg.ts[0])
     lhs = path_derivative(f, dt)
     return float(np.max(np.abs(lhs - rhs)[2:-2]))
@@ -309,13 +312,27 @@ def ij_derivative_check(path: PotentialPath) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _stationarity_residuals(
+    grid: S2Grid, psi: BasicPotential, calibrations, eps: float = 1e-2
+) -> dict[float, float]:
+    """|dM(0)(psi)| per calibration, by central differencing of M along t -> t * psi.
+
+    Each probe path is built once and serves every constant.
+    """
+    zero = BasicPotential.zero(grid)
+    m = {c: [] for c in calibrations}
+    for step in (eps, -eps):
+        path = linear_path(zero, psi.scaled(step))
+        for c in calibrations:
+            m[c].append(functional_M(path, c))
+    return {c: float(abs((fwd - bwd) / (2.0 * eps))) for c, (fwd, bwd) in m.items()}
+
+
 def stationarity_residual(
     grid: S2Grid, psi: BasicPotential, calibration: float, eps: float = 1e-2
 ) -> float:
     """|dM(0)(psi)| by central differencing of M along t -> t * psi."""
-    fwd = functional_M(linear_path(BasicPotential.zero(grid), psi.scaled(eps)), calibration)
-    bwd = functional_M(linear_path(BasicPotential.zero(grid), psi.scaled(-eps)), calibration)
-    return float(abs((fwd - bwd) / (2.0 * eps)))
+    return _stationarity_residuals(grid, psi, (calibration,), eps)[calibration]
 
 
 @dataclass
@@ -332,13 +349,14 @@ def calibrate_scalar_trace(
     Tries the two plausible normalizations of the curvature trace (real trace
     and half of it) against a probe potential with nonzero mean; the round
     structure must be a critical point of the curvature energy, which only
-    one constant achieves.
+    one constant achieves.  Both constants are tried on the same two probe
+    paths.
     """
     if psi is None:
         psi = BasicPotential.zero(grid).shifted(0.01).plus(
             _default_probe(grid)
         )
-    residuals = {c: stationarity_residual(grid, psi, c) for c in (0.5, 1.0)}
+    residuals = _stationarity_residuals(grid, psi, (0.5, 1.0))
     constant = min(residuals, key=residuals.get)
     return CalibrationResult(constant, residuals)
 

@@ -8,18 +8,22 @@ This module provides:
 
 * ``S2Grid`` — Gauss-Legendre x trapezoid quadrature with spherical-harmonic
   analysis/synthesis built on a stable normalized associated-Legendre
-  recurrence (no dependence on special-function libraries).
+  recurrence (no dependence on special-function libraries).  Both transforms
+  take stacks of fields or coefficients and contract every azimuthal order
+  in one matrix product.
 * ``BasicPotential`` — a band-limited potential on the quotient with its
   pullback to the 3-sphere and the operators entering the deformed
   structures: the basic complex Laplacian (harmonic multiplier 2l(l+1)), the
   deformed transverse density u = 1 - box0(phi), and the deformed transverse
-  scalar curvature.
-* fibration helpers — the quotient map, a measured Reeb fiber length, and
-  the resulting total volume.
+  scalar curvature.  Grid fields are carried through linear combinations,
+  so a path node between two potentials costs no transform.
+* fibration helpers — the quotient map, a Reeb fiber length measured along
+  the model's exact Reeb flow, and the resulting total volume.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -67,16 +71,26 @@ def _legendre_tables(lmax: int, x: np.ndarray) -> np.ndarray:
     return P
 
 
+# Fields per block of a batched transform: bounds the temporary memory of a
+# long stack (about 1 MB at the default 64 x 128 grid) instead of
+# transforming it whole.
+_TRANSFORM_BLOCK = 8
+
+
 class S2Grid:
     """Quadrature and harmonic transforms on the transverse quotient sphere.
 
     Colatitude nodes are Gauss-Legendre in cos(theta); azimuth is a uniform
     trapezoid grid (exact for trigonometric polynomials).  Fields are arrays
     of shape (n_theta, n_phi); coefficients are complex arrays C[l, m] for
-    0 <= m <= l <= lmax, with the m < 0 content implied by reality.
+    0 <= m <= l <= lmax, with the m < 0 content implied by reality.  Both
+    transforms accept leading batch axes, (..., n_theta, n_phi) and
+    (..., lmax + 1, lmax + 1).
     """
 
     def __init__(self, n_theta: int = 64, n_phi: int = 128, lmax: int = 32):
+        if lmax < 0 or n_theta < 1 or n_phi < 1:
+            raise ValueError("need lmax >= 0 and n_theta, n_phi >= 1")
         if lmax >= n_theta:
             raise ValueError("need n_theta > lmax for exact analysis")
         if n_phi < 2 * lmax + 2:
@@ -90,6 +104,7 @@ class S2Grid:
         self.theta = np.arccos(x)
         self.phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
         self.ptab = _legendre_tables(lmax, x)
+        self._analysis = self.ptab * w  # [m, l, i]: quadrature-weighted tables
         ls = np.arange(lmax + 1, dtype=float)
         self.box0_multiplier = 2.0 * ls * (ls + 1.0)  # basic complex Laplacian
         self.laplace_multiplier = 4.0 * ls * (ls + 1.0)  # quotient Laplace-Beltrami
@@ -97,19 +112,29 @@ class S2Grid:
         self.area = 0.25 * float(np.sum(w)) * 2.0 * np.pi
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
-        """Field on the grid -> coefficients C[l, m]."""
-        F = np.fft.rfft(values, axis=1) * (2.0 * np.pi / self.n_phi)
-        C = np.zeros((self.lmax + 1, self.lmax + 1), dtype=complex)
-        for m in range(self.lmax + 1):
-            C[:, m] = (self.ptab[m] * self.w) @ F[:, m]
-        return C
+        """Fields on the grid (..., n_theta, n_phi) -> coefficients C[..., l, m]."""
+        values = np.asarray(values, dtype=float)
+        lead = values.shape[:-2]
+        stack = values.reshape((-1, self.n_theta, self.n_phi))
+        C = np.empty((stack.shape[0], self.lmax + 1, self.lmax + 1), dtype=complex)
+        for k in range(0, stack.shape[0], _TRANSFORM_BLOCK):
+            F = np.fft.rfft(stack[k:k + _TRANSFORM_BLOCK], axis=-1)[..., : self.lmax + 1]
+            F *= 2.0 * np.pi / self.n_phi
+            C[k:k + _TRANSFORM_BLOCK] = _by_order(self._analysis, F)
+        return C.reshape(lead + C.shape[1:])
 
     def synthesize(self, C: np.ndarray) -> np.ndarray:
-        """Coefficients -> field on the grid."""
-        H = np.zeros((self.n_theta, self.n_phi // 2 + 1), dtype=complex)
-        for m in range(self.lmax + 1):
-            H[:, m] = self.ptab[m].T @ C[:, m]
-        return np.fft.irfft(H * self.n_phi, n=self.n_phi, axis=1)
+        """Coefficients C[..., l, m] -> fields on the grid (..., n_theta, n_phi)."""
+        C = np.asarray(C)
+        lead = C.shape[:-2]
+        stack = C.reshape((-1, self.lmax + 1, self.lmax + 1))
+        out = np.empty((stack.shape[0], self.n_theta, self.n_phi))
+        for k in range(0, stack.shape[0], _TRANSFORM_BLOCK):
+            block = stack[k:k + _TRANSFORM_BLOCK]
+            H = np.zeros((len(block), self.n_theta, self.n_phi // 2 + 1), dtype=complex)
+            H[..., : self.lmax + 1] = _by_order(self.ptab.transpose(0, 2, 1), block * self.n_phi)
+            out[k:k + len(block)] = np.fft.irfft(H, n=self.n_phi, axis=-1)
+        return out.reshape(lead + out.shape[1:])
 
     def mean(self, values: np.ndarray) -> float:
         """Average against the quotient area form (equals the round mean)."""
@@ -129,6 +154,18 @@ class S2Grid:
             else:
                 out = out + 2.0 * (gm * np.exp(1j * m * phi_flat)).real
         return out.reshape(shape) if shape else float(out[0])
+
+
+def _by_order(tables: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``out[b, r, m] = sum_c tables[m, r, c] X[b, c, m]``: every order in one matmul.
+
+    The real tables act on the real and imaginary parts of the stack side by
+    side, so the product stays real.
+    """
+    B = X.shape[0]
+    Xm = X.transpose(2, 1, 0)  # [m, c, b]
+    out = tables @ np.concatenate([Xm.real, Xm.imag], axis=-1)  # [m, r, 2b]
+    return (out[..., :B] + 1j * out[..., B:]).transpose(2, 1, 0)
 
 
 class PositivityError(ValueError):
@@ -185,14 +222,24 @@ class BasicPotential:
 
     All derived fields live on the grid: ``box0`` is the basic complex
     Laplacian (2 l(l+1) multiplier), ``u = 1 - box0(phi)`` the density of the
-    deformed transverse area form relative to the undeformed one.  The values
-    and ``box0`` are synthesized once per potential (the coefficients are
-    never changed in place) and handed out read-only; ``u`` is a fresh array
-    (caching it too would hold a third grid field per potential).
+    deformed transverse area form relative to the undeformed one.  A
+    potential made from coefficients synthesizes its values and ``box0`` once
+    each (the coefficients are never changed in place) and hands them out
+    read-only; ``u`` is a fresh array (caching it too would hold a third grid
+    field per potential).
+
+    Synthesis is linear, so a potential made by ``scaled``, ``plus`` or
+    ``minus`` keeps its terms, weights on potentials made from coefficients,
+    and forms each field on request, read-only, as the same combination of
+    theirs: a path node between two potentials costs no transform, and a
+    path holds no grid field of its own.
     """
 
     grid: S2Grid
     coeffs: np.ndarray
+    # (weight, potential) pairs of a linear combination, over potentials
+    # made from coefficients; empty for one made from coefficients
+    _terms = ()
 
     @classmethod
     def from_values(cls, grid: S2Grid, values: np.ndarray) -> "BasicPotential":
@@ -203,22 +250,36 @@ class BasicPotential:
         return cls(grid, np.zeros((grid.lmax + 1, grid.lmax + 1), dtype=complex))
 
     @cached_property
-    def values(self) -> np.ndarray:
+    def _values(self) -> np.ndarray:
         return _read_only(self.grid.synthesize(self.coeffs))
-
-    @property
-    def amplitude(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
     @cached_property
     def _box0(self) -> np.ndarray:
         return _read_only(self.grid.synthesize(self.coeffs * self.grid.box0_multiplier[:, None]))
 
+    def _field(self, name: str) -> np.ndarray:
+        """The cached field ``name``, or for a combination the weighted sum of its terms'."""
+        if not self._terms:
+            return getattr(self, name)
+        (w, p), *rest = self._terms
+        out = w * getattr(p, name)
+        for w, p in rest:
+            out += w * getattr(p, name)
+        return _read_only(out)
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._field("_values")
+
+    @property
+    def amplitude(self) -> float:
+        return float(np.max(np.abs(self.values)))
+
     def box0(self) -> np.ndarray:
-        return self._box0
+        return self._field("_box0")
 
     def u(self) -> np.ndarray:
-        return 1.0 - self._box0
+        return 1.0 - self.box0()
 
     def min_density(self) -> float:
         return float(np.min(self.u()))
@@ -234,13 +295,25 @@ class BasicPotential:
         return BasicPotential(self.grid, C)
 
     def scaled(self, factor: float) -> "BasicPotential":
-        return BasicPotential(self.grid, self.coeffs * factor)
+        return self._combined(self.coeffs * factor, [(factor, self)])
 
     def plus(self, other: "BasicPotential") -> "BasicPotential":
-        return BasicPotential(self.grid, self.coeffs + other.coeffs)
+        return self._combined(self.coeffs + other.coeffs, [(1.0, self), (1.0, other)])
 
     def minus(self, other: "BasicPotential") -> "BasicPotential":
-        return BasicPotential(self.grid, self.coeffs - other.coeffs)
+        return self._combined(self.coeffs - other.coeffs, [(1.0, self), (-1.0, other)])
+
+    def _combined(
+        self, coeffs: np.ndarray, terms: list[tuple[float, "BasicPotential"]]
+    ) -> "BasicPotential":
+        """``sum w p`` over ``terms``, kept as weights on potentials made from coefficients."""
+        weights = {}
+        for w, p in terms:
+            for v, base in p._terms or [(1.0, p)]:
+                weights[id(base)] = (weights.get(id(base), (0.0, base))[0] + w * v, base)
+        out = BasicPotential(self.grid, coeffs)
+        out._terms = tuple(weights.values())
+        return out
 
     def mean(self) -> float:
         return float(self.coeffs[0, 0].real / np.sqrt(4.0 * np.pi))
@@ -295,7 +368,7 @@ def random_potential(
 
 
 def transverse_scalar_curvature(
-    potential: BasicPotential, calibration: float = 0.5
+    potentials: BasicPotential | Iterable[BasicPotential], calibration: float = 0.5
 ) -> np.ndarray:
     """Scalar curvature field of the deformed transverse metric.
 
@@ -305,57 +378,64 @@ def transverse_scalar_curvature(
     converts the real scalar trace (twice the Gauss curvature) into the trace
     convention under which the undeformed structure is a critical point of
     the curvature energy; 1/2 selects the Gauss curvature itself.
+
+    ``potentials`` is one potential, giving one field, or a sequence of
+    potentials on one grid, giving the stacked fields (K, n_theta, n_phi)
+    from one batched analysis and one batched synthesis.
     """
-    grid = potential.grid
-    u = potential.u()
-    if np.min(u) <= 0.0:
-        raise PositivityError(float(np.min(u)), "while computing scalar curvature")
-    logu = np.log(u)
-    lap_logu = grid.synthesize(
-        grid.analyze(logu) * grid.laplace_multiplier[:, None]
-    )
-    gauss = (QUOTIENT_CURVATURE + 0.5 * lap_logu) / u
-    return calibration * 2.0 * gauss
+    single = isinstance(potentials, BasicPotential)
+    stack = [potentials] if single else list(potentials)
+    grid = stack[0].grid
+    # both stacks are filled field by field, and at most one is held at a time
+    logu = np.empty((len(stack), grid.n_theta, grid.n_phi))
+    for k, p in enumerate(stack):
+        logu[k] = p.u()
+    if np.min(logu) <= 0.0:
+        raise PositivityError(float(np.min(logu)), "while computing scalar curvature")
+    coeffs = grid.analyze(np.log(logu, out=logu))
+    del logu
+    scalar = grid.synthesize(coeffs * grid.laplace_multiplier[:, None])  # Lap log u
+    for k, p in enumerate(stack):
+        scalar[k] = calibration * 2.0 * ((QUOTIENT_CURVATURE + 0.5 * scalar[k]) / p.u())
+    return scalar[0] if single else scalar
+
+
+# Flow times per block of the fiber measurement: bounds the sampled orbit's
+# memory while stopping soon after the first return.
+_FIBER_BLOCK = 1024
 
 
 def measure_fiber_length(
     model: SasakiModel, x0: np.ndarray | None = None, step: float = 1e-3
 ) -> float:
-    """Length of a Reeb orbit, measured by integrating the Reeb flow.
+    """Length of a Reeb orbit, measured along the model's exact Reeb flow.
 
-    Follows ``x' = xi(x)`` from ``x0`` and locates the first return to the
-    start by parabolic interpolation of the squared distance.  The Reeb field
-    has unit length, so flow time is arc length.
+    Samples ``model.reeb_flow`` from ``x0`` at multiples of ``step``, in
+    vectorized blocks of times, and locates the first return to the start by
+    parabolic interpolation of the squared distance around the first sampled
+    local minimum below 1e-2.  The Reeb field has unit length, so flow time
+    is arc length.
     """
     if x0 is None:
         x0 = model.random_points(np.random.default_rng(2), 1)[0]
     x = np.asarray(x0, dtype=float)
-
-    def rhs(y):
-        return model.reeb(y)
-
     t_cap = 16.0
     n = int(round(t_cap / step))
     d2 = np.empty(n + 1)
-    d2[0] = 0.0
-    traj_prev = x
-    best = None
-    for i in range(1, n + 1):
-        k1 = rhs(traj_prev)
-        k2 = rhs(traj_prev + 0.5 * step * k1)
-        k3 = rhs(traj_prev + 0.5 * step * k2)
-        k4 = rhs(traj_prev + step * k3)
-        traj_prev = traj_prev + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        d2[i] = float(np.sum((traj_prev - x) ** 2))
-        if i > 2 and d2[i - 1] < min(d2[i], d2[i - 2]) and d2[i - 1] < 1e-2:
-            dm, d0, dp = d2[i - 2], d2[i - 1], d2[i]
+    for k in range(0, n + 1, _FIBER_BLOCK):
+        i = np.arange(k, min(k + _FIBER_BLOCK, n + 1))
+        diff = model.reeb_flow(np.broadcast_to(x, (i.size, x.size)), i * step) - x
+        d2[i] = np.sum(diff * diff, axis=-1)
+        # sample i - 1 is a local minimum once sample i is known
+        j = i[i > 2]
+        hit = (d2[j - 1] < np.minimum(d2[j], d2[j - 2])) & (d2[j - 1] < 1e-2)
+        if hit.any():
+            i_hit = int(j[np.argmax(hit)])
+            dm, d0, dp = d2[i_hit - 2], d2[i_hit - 1], d2[i_hit]
             denom = dm - 2.0 * d0 + dp
             off = 0.5 * (dm - dp) / denom if abs(denom) > 1e-300 else 0.0
-            best = ((i - 1) + off) * step
-            break
-    if best is None:
-        raise RuntimeError("Reeb orbit did not return within the time cap")
-    return float(best)
+            return float(((i_hit - 1) + off) * step)
+    raise RuntimeError("Reeb orbit did not return within the time cap")
 
 
 @dataclass

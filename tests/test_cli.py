@@ -143,6 +143,7 @@ class TestExitCodes:
         # finite, but more steps than an array can index: int() of the step
         # count used to overflow with a traceback
         huge = "horizon '1e308' is too large"
+        nonpositive = "non-positive value"
         cases = [
             (["geodesic", "--t-end", "inf"], "--t-end", nonfinite),
             (["geodesic", "--t-end", "nan"], "--t-end", nonfinite),
@@ -154,8 +155,12 @@ class TestExitCodes:
             (["cc-distance", *heis, "--t-max", "-1"], "--t-max", negative),
             (["cc-distance", *heis, "--t-max", "1e308"], "--t-max", huge),
             (["cc-distance", *heis, "--alpha0-max", "nan"], "--alpha0-max", nonfinite),
+            (["cc-distance", *heis, "--alpha0-max", "-1"], "--alpha0-max", nonpositive),
+            (["cc-distance", *heis, "--alpha0-max", "0"], "--alpha0-max", nonpositive),
             (["check-identities", "--tol", "nan"], "--tol", nonfinite),
             (["dhomothety", "--mu", "inf"], "--mu", nonfinite),
+            (["dhomothety", "--mu", "-1"], "--mu", nonpositive),
+            (["dhomothety", "--mu", "0"], "--mu", nonpositive),
             (["functionals", "--amplitude", "nan"], "--amplitude", nonfinite),
         ]
         for argv, flag, what in cases:
@@ -163,10 +168,19 @@ class TestExitCodes:
             assert code == EXIT_USAGE, argv
             assert out == ""
             assert f"argument {flag}: {what}" in err, err
-        # a finite but non-positive momentum cap is refused by ShootingConfig
-        code, out, err = run(capsys, "cc-distance", *heis, "--alpha0-max", "-1")
-        assert (code, out) == (EXIT_USAGE, "")
-        assert "alpha0_max must be finite and positive" in err, err
+
+    def test_out_of_range_size_returns_one(self, capsys):
+        # both used to escape as a traceback or a numpy message
+        cases = [
+            (["functionals", "--lmax", "-1"], "need lmax >= 0"),
+            (["dhomothety", "--mu", "2", "--samples", "0"], "samples must be at least 1"),
+        ]
+        for argv, what in cases:
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_USAGE, argv
+            assert out == ""
+            assert f"sasakigeo: error: {what}" in err, err
+            assert "Traceback" not in err
 
     def test_unwritable_output_returns_one(self, capsys):
         code, _, err = run(

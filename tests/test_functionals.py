@@ -148,6 +148,27 @@ class TestPositivityWindow:
             path.require_positive()
 
 
+class TestTransformCount:
+    def test_report_and_calibration_transform_per_path(self, grid, monkeypatch):
+        # path nodes carry their endpoints' fields and M batches each
+        # segment's curvature, so the transforms do not grow with the nodes
+        psi = qt.random_potential(grid, np.random.default_rng(4))
+        calls = {"analyze": 0, "synthesize": 0}
+        for name in calls:
+            method = getattr(grid, name)
+
+            def counted(X, name=name, method=method):
+                calls[name] += 1
+                return method(X)
+
+            monkeypatch.setattr(grid, name, counted)
+        report = fn.functional_report(grid, psi, 2.0 * np.pi**2, nodes=33)
+        cal = fn.calibrate_scalar_trace(grid)
+        assert report.path_independence_residual < 1e-6 and cal.constant == 0.5
+        assert calls["synthesize"] <= 40
+        assert calls["analyze"] <= 10
+
+
 class TestReport:
     def test_full_report_consistency(self, grid, phi):
         report = fn.functional_report(grid, phi, 2.0 * np.pi**2)

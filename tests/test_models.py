@@ -192,6 +192,26 @@ class TestClosedFormFlow:
             assert np.max(np.abs(batched[i] - path.points)) < 1e-9
 
 
+class TestReebFlow:
+    @pytest.mark.parametrize("key", ["s3", "s5", "heisenberg", "s3-dhom:0.6", "s3-dhom:2.0"])
+    def test_reeb_flow_matches_rk4_of_reeb_field(self, key):
+        # independent route: integrate x' = reeb(x) with fine RK4 steps, every
+        # point with its own (signed) flow time
+        model = get_model(key)
+        x = model.random_points(np.random.default_rng(9), 4)
+        theta = np.array([1.3, -0.7, 2.1, 0.05])
+        steps = 4000
+        h = (theta / steps)[:, None]
+        y = x.copy()
+        for _ in range(steps):
+            k1 = model.reeb(y)
+            k2 = model.reeb(y + 0.5 * h * k1)
+            k3 = model.reeb(y + 0.5 * h * k2)
+            k4 = model.reeb(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.max(np.abs(model.reeb_flow(x, theta) - y)) < 1e-12
+
+
 class TestCovectorAlgebra:
     @pytest.mark.parametrize("key", ["s3", "s5", "heisenberg"])
     def test_covector_roundtrip(self, key):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sasakigeo import core, quotient as qt
+from sasakigeo import core, models, quotient as qt
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +70,50 @@ class TestHarmonicTransforms:
             with pytest.raises(ValueError, match="read-only"):
                 field += 1.0
 
+    def test_batched_transforms_match_single_fields(self, grid):
+        rng = np.random.default_rng(5)
+        vals = rng.standard_normal((2, 3, grid.n_theta, grid.n_phi))
+        C = grid.analyze(vals)
+        assert C.shape == (2, 3, grid.lmax + 1, grid.lmax + 1)
+        # reference: the quadrature order by order on one field
+        F = np.fft.rfft(vals[1, 2], axis=1) * (2.0 * np.pi / grid.n_phi)
+        ref = np.stack(
+            [(grid.ptab[m] * grid.w) @ F[:, m] for m in range(grid.lmax + 1)], axis=1
+        )
+        assert np.max(np.abs(C[1, 2] - ref)) < 1e-14
+        fields = grid.synthesize(C)
+        assert fields.shape == vals.shape
+        for i in range(2):
+            for j in range(3):
+                assert np.max(np.abs(C[i, j] - grid.analyze(vals[i, j]))) < 1e-15
+                assert np.max(np.abs(fields[i, j] - grid.synthesize(C[i, j]))) < 1e-15
+        # analysis of a band-limited stack inverts synthesis
+        assert np.max(np.abs(grid.analyze(fields) - C)) < 1e-12
+
+    def test_linear_combinations_carry_fields(self, grid, monkeypatch):
+        a = qt.harmonic_potential(grid, 3, 1, 0.02)
+        b = qt.harmonic_potential(grid, 2, 2, 0.01).shifted(0.1)
+        combos = [a.scaled(-0.7), a.plus(b), b.minus(a), a.plus(b.minus(a).scaled(0.3))]
+        fresh = [qt.BasicPotential(grid, c.coeffs.copy()) for c in combos]
+        for p in (a, b, *fresh):
+            p.values, p.box0()
+        calls = []
+        monkeypatch.setattr(grid, "synthesize", lambda C: calls.append(1))
+        for combo, ref in zip(combos, fresh):
+            assert np.max(np.abs(combo.values - ref.values)) < 1e-14
+            assert np.max(np.abs(combo.box0() - ref.box0())) < 1e-14
+            for field in (combo.values, combo.box0()):
+                with pytest.raises(ValueError, match="read-only"):
+                    field += 1.0
+        assert calls == []  # built from the operands' fields, no transform
+
+    @pytest.mark.parametrize(
+        "n_theta, n_phi, lmax", [(64, 128, -1), (0, 128, 0), (64, 0, 0), (-1, -1, -2)]
+    )
+    def test_grid_rejects_empty_sizes(self, n_theta, n_phi, lmax):
+        with pytest.raises(ValueError, match="lmax >= 0"):
+            qt.S2Grid(n_theta=n_theta, n_phi=n_phi, lmax=lmax)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             qt.S2Grid(n_theta=16, n_phi=128, lmax=32)
@@ -104,6 +148,12 @@ class TestFiberProjection:
     def test_fiber_length_is_full_circle(self, s3):
         length = qt.measure_fiber_length(s3)
         assert abs(length - 2.0 * np.pi) < 1e-6
+
+    @pytest.mark.parametrize("mu", [0.6, 2.0])
+    def test_fiber_length_of_deformed_sphere(self, mu):
+        # the deformed Reeb field is mu times the round one
+        length = qt.measure_fiber_length(models.get_model(f"s3-dhom:{mu}"))
+        assert abs(length - 2.0 * np.pi / mu) < 1e-6
 
     def test_quotient_geometry_totals(self, s3, grid):
         geo = qt.quotient_geometry(s3, grid)
