@@ -86,6 +86,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    """argparse type of the count flags: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"non-positive count {text!r}")
+    return value
+
+
 # Finest step a command samples a horizon at by default (geodesic's t/1e-3).
 _FINEST_STEP = 1e-3
 
@@ -511,7 +522,7 @@ def build_parser() -> _Parser:
         return p
 
     p = add("check-identities", _cmd_check_identities, "structure identity residuals")
-    p.add_argument("--points", type=int, default=200, help="sample point count")
+    p.add_argument("--points", type=_count, default=200, help="sample point count")
     p.add_argument("--tol", type=_finite_float, default=None, help="override all tolerances")
 
     p = add("geodesic", _cmd_geodesic, "integrate one normal geodesic")
@@ -519,7 +530,7 @@ def build_parser() -> _Parser:
     p.add_argument("--direction", default=None, help="initial horizontal direction")
     p.add_argument("--alpha0", type=_finite_float, default=0.3, help="Reeb momentum")
     p.add_argument("--t-end", type=_horizon, default=float(2.0 * np.pi))
-    p.add_argument("--steps", type=int, default=None, help="step count (default t/1e-3)")
+    p.add_argument("--steps", type=_count, default=None, help="step count (default t/1e-3)")
     p.add_argument("--mode", choices=("sub", "riem"), default="sub")
     p.add_argument("--csv", default=None, help="write the sampled path as CSV")
 
@@ -532,13 +543,13 @@ def build_parser() -> _Parser:
     )
 
     p = add("diameter", _cmd_diameter, "diameter estimate over random pairs")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--pairs", type=_count, default=10)
+    p.add_argument("--threads", type=_count, default=1)
 
     add("second-variation", _cmd_second_variation, "variation identities and energies")
 
     p = add("myers-verify", _cmd_myers_verify, "diameter-bound certificates")
-    p.add_argument("--pairs", type=int, default=4)
+    p.add_argument("--pairs", type=_count, default=4)
 
     p = add("dhomothety", _cmd_dhomothety, "deformation scaling checks")
     p.add_argument("--mu", type=_positive_float, required=True, help="deformation parameter")
@@ -552,7 +563,7 @@ def build_parser() -> _Parser:
     p.add_argument("--values-csv", default=None, help="potential values on the grid")
     p.add_argument("--grid", default="64x128", help="n_theta x n_phi")
     p.add_argument("--lmax", type=int, default=32)
-    p.add_argument("--nodes", type=int, default=33, help="time quadrature nodes")
+    p.add_argument("--nodes", type=_count, default=33, help="time quadrature nodes")
 
     return parser
 

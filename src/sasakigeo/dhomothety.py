@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SasakiModel, ricci, ricci_transverse
+from .core import SasakiModel, _dot, ricci, ricci_transverse
 
 __all__ = [
     "DHomotheticModel",
@@ -152,8 +152,9 @@ class DHomotheticModel(SasakiModel):
         dx, da = src.hamiltonian_rhs(x, a, mode="sub")
         dx, da = dx / self.s, da / self.s
         if mode == "riem":
-            a0 = src.alpha0(x, a)[..., None]
-            dx = dx + a0 * src.reeb(x) / self.s**2
+            xi = src.reeb(x)
+            a0 = _dot(a, xi)[..., None]
+            dx = dx + a0 * xi / self.s**2
             da = da - a0 * src.reeb_jacobian_T(x, a) / self.s**2
         return dx, da
 

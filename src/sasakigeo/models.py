@@ -62,13 +62,13 @@ class SphereModel(SasakiModel):
     # J acts pairwise: (a, b) -> (-b, a).
     def _J(self, v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
-        out[..., 0::2] = -v[..., 1::2]
+        np.negative(v[..., 1::2], out=out[..., 0::2])
         out[..., 1::2] = v[..., 0::2]
         return out
 
     # -- manifold mechanics ------------------------------------------------
     def project_point(self, x):
-        return x / np.linalg.norm(x, axis=-1, keepdims=True)
+        return x / np.sqrt(_dot(x, x))[..., None]
 
     def constraint_residual(self, x):
         return np.abs(_dot(x, x) - 1.0)
@@ -122,7 +122,7 @@ class SphereModel(SasakiModel):
         xx, aa = _dot(x, x)[..., None], _dot(a, a)[..., None]
         ax = _dot(a, x)[..., None]
         dx = xx * a - ax * x
-        da = -aa * x + ax * a
+        da = ax * a - aa * x
         if mode == "sub":
             Jx = self._J(x)
             aJx = _dot(a, Jx)[..., None]
@@ -277,12 +277,14 @@ class HeisenbergModel(SasakiModel):
         return h
 
     def hamiltonian_rhs(self, x, a, mode="sub"):
-        y = x[..., 1]
-        w = a[..., 0] + y * a[..., 2]
-        a2 = a[..., 1] + 0.0 * y
-        dxz = y * w if mode == "sub" else y * w + 0.25 * a[..., 2]
-        dx = np.stack([w, a2, dxz], axis=-1)
-        da = np.stack([np.zeros_like(w), -w * a[..., 2], np.zeros_like(w)], axis=-1)
+        y, az = x[..., 1], a[..., 2]
+        w = a[..., 0] + y * az
+        dx = np.empty(w.shape + (3,))
+        dx[..., 0] = w
+        dx[..., 1] = a[..., 1]
+        dx[..., 2] = y * w if mode == "sub" else y * w + 0.25 * az
+        da = np.zeros(dx.shape)
+        da[..., 1] = -w * az
         return dx, da
 
     @property

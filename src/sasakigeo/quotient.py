@@ -247,7 +247,10 @@ class BasicPotential:
 
     @classmethod
     def zero(cls, grid: S2Grid) -> "BasicPotential":
-        return cls(grid, np.zeros((grid.lmax + 1, grid.lmax + 1), dtype=complex))
+        """The zero potential; its fields are zero without a transform."""
+        out = cls(grid, np.zeros((grid.lmax + 1, grid.lmax + 1), dtype=complex))
+        out._values = out._box0 = _read_only(np.zeros((grid.n_theta, grid.n_phi)))
+        return out
 
     @cached_property
     def _values(self) -> np.ndarray:

@@ -6,15 +6,16 @@ The horizontal (sub-Riemannian) Hamiltonian is
 
 whose flow projects to horizontal constant-speed curves ("normal geodesics")
 satisfying  ``nabla_v v + 2 a0 phi(v) = 0``  with ``a0 = a(xi)`` constant.
-Integration is fixed-step RK4 on (x, a) with per-step state projection.  The
-searches run batched over rows of initial covectors through one flow
-evaluator, the model's exact flow in both modes: the sub flow
-(``flow_positions``), followed in riem mode by the Reeb flow (``reeb_flow``)
-for time ``a0 t``.  Certification always integrates the connecting geodesic
-by RK4, with step doubling: the reported ``miss`` is the closest approach of
-the fine path (on its cubic Hermite interpolant) plus the Richardson estimate
-of the integration error there.  A candidate whose exact flow already misses
-by more than ``hit_tol`` is not integrated.
+Integration is fixed-step RK4 on (x, a) with per-step state projection, over
+a leading axis of rows that share each step's model calls.  The searches run
+batched over rows of initial covectors through one flow evaluator, the
+model's exact flow in both modes: the sub flow (``flow_positions``), followed
+in riem mode by the Reeb flow (``reeb_flow``) for time ``a0 t``.
+Certification always integrates the connecting geodesic by RK4, with step
+doubling run as one two-row integration: the reported ``miss`` is the
+closest approach of the fine path (on its cubic Hermite interpolant) plus
+the Richardson estimate of the integration error there.  A candidate whose
+exact flow already misses by more than ``hit_tol`` is not integrated.
 
 Distances are estimated by shooting: a coarse grid over unit horizontal
 directions crossed with a Reeb-momentum grid, followed by compass (pattern)
@@ -170,44 +171,69 @@ class GeodesicPath:
 # ---------------------------------------------------------------------------
 
 
-def _rk4_step(model, x, a, h, mode):
-    k1x, k1a = model.hamiltonian_rhs(x, a, mode)
-    k2x, k2a = model.hamiltonian_rhs(x + 0.5 * h * k1x, a + 0.5 * h * k1a, mode)
-    k3x, k3a = model.hamiltonian_rhs(x + 0.5 * h * k2x, a + 0.5 * h * k2a, mode)
-    k4x, k4a = model.hamiltonian_rhs(x + h * k3x, a + h * k3a, mode)
-    x1 = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    a1 = a + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-    return model.project_state(x1, a1)
+def _rk4_rows(model, x, a, h, iterations, mode):
+    """RK4 samples (iterations + 1, rows, d) of the rows ``(x, a)``, row ``i`` at step ``h[i]``.
+
+    Rows are independent, so each row's samples are those of a one-row run
+    bit for bit; the rows share each step's model calls.  Every step ends
+    with the model's state projection.
+    """
+    h = np.asarray(h, dtype=float)[:, None]
+    half, sixth = 0.5 * h, h / 6.0
+    xs = np.empty((iterations + 1,) + x.shape)
+    as_ = np.empty_like(xs)
+    xs[0], as_[0] = x, a
+    for i in range(iterations):
+        k1x, k1a = model.hamiltonian_rhs(x, a, mode)
+        k2x, k2a = model.hamiltonian_rhs(x + half * k1x, a + half * k1a, mode)
+        k3x, k3a = model.hamiltonian_rhs(x + half * k2x, a + half * k2a, mode)
+        k4x, k4a = model.hamiltonian_rhs(x + h * k3x, a + h * k3a, mode)
+        x, a = model.project_state(
+            x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+            a + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a),
+        )
+        xs[i + 1], as_[i + 1] = x, a
+    return xs, as_
 
 
 def integrate_geodesic(
     model: SasakiModel,
     init: CotangentState,
     t_end: float,
-    steps: int,
+    steps: int | tuple[int, ...],
     mode: str | None = None,
-) -> GeodesicPath:
+) -> GeodesicPath | list[GeodesicPath]:
     """Integrate the cotangent flow and record every sample.
 
     ``steps`` must be at least 16 and, in sub mode, the initial state must
-    carry horizontal motion (H > 0).
+    carry horizontal motion (H > 0).  A tuple of step counts returns one path
+    per count, integrated together as the rows of one RK4 run of
+    ``max(steps)`` steps: row ``i`` steps by ``t_end / steps[i]`` and keeps
+    its first ``steps[i] + 1`` samples.  Each path equals a run of its own
+    count bit for bit; step doubling is ``steps=(n, 2 n)``.
     """
     mode = init.mode if mode is None else mode
-    if steps < 16:
+    counts = steps if isinstance(steps, tuple) else (steps,)
+    if min(counts) < 16:
         raise ValueError("steps must be >= 16")
     h_sub = float(model.hamiltonian(init.point, init.covector, mode="sub"))
     if mode == "sub" and not h_sub > 1e-15:
         raise ValueError("initial covector has no horizontal motion (H = 0)")
-    h = float(t_end) / steps
-    x = init.point.copy()
-    a = init.covector.copy()
-    xs = np.empty((steps + 1,) + x.shape)
-    as_ = np.empty_like(xs)
-    xs[0], as_[0] = x, a
-    for i in range(steps):
-        x, a = _rk4_step(model, x, a, h, mode)
-        xs[i + 1], as_[i + 1] = x, a
-    t = np.linspace(0.0, float(t_end), steps + 1)
+    hs = [float(t_end) / n for n in counts]
+    rows = (len(counts), 1)
+    xs, as_ = _rk4_rows(
+        model, np.tile(init.point, rows), np.tile(init.covector, rows), hs, max(counts), mode
+    )
+    paths = [
+        _sampled_path(model, mode, t_end, h, xs[: n + 1, i].copy(), as_[: n + 1, i].copy())
+        for i, (n, h) in enumerate(zip(counts, hs))
+    ]
+    return paths if isinstance(steps, tuple) else paths[0]
+
+
+def _sampled_path(model, mode, t_end, h, xs, as_):
+    """The path of the samples ``xs, as_`` taken every ``h`` from time 0 to ``t_end``."""
+    t = np.linspace(0.0, float(t_end), xs.shape[0])
     vel = model.velocity(xs, as_, mode)
     speeds = np.sqrt(np.maximum(model.metric(xs, vel, vel), 0.0))
     length = float(np.trapezoid(speeds, t))
@@ -682,7 +708,9 @@ def _certify(model, state, horizon, q, step, hit_tol):
     The exact flow screens first: a candidate it puts farther than
     ``hit_tol + _SCREEN_SLACK`` from ``q`` cannot certify, and its screened
     miss is returned without integrating.  Otherwise RK4 runs at ``2 step``
-    and ``step`` over ``horizon`` (step doubling).  The closest approach is
+    and ``step`` over ``horizon`` (step doubling), as the two rows of one
+    :func:`integrate_geodesic` run of ``2 n`` steps whose coarse row keeps
+    its first ``n + 1`` samples.  The closest approach is
     taken on the cubic Hermite interpolant of the fine path, and the miss
     adds ``16/15`` of the gap between the two paths at the coarse samples
     bracketing it: the Richardson estimate of the coarse path's order-4
@@ -701,8 +729,7 @@ def _certify(model, state, horizon, q, step, hit_tol):
     miss, t_f = _closest_near(exact, float(t0[0]), fine_h, horizon, q)
     if miss > hit_tol + _SCREEN_SLACK:
         return miss, t_f
-    coarse = integrate_geodesic(model, state, horizon, n)
-    fine = integrate_geodesic(model, state, horizon, 2 * n)
+    coarse, fine = integrate_geodesic(model, state, horizon, (n, 2 * n))
     diff = fine.points - q
     _, t0 = _closest_sample(_dot(diff, diff)[:, None], np.array([fine_h]))
     miss, t_f = _closest_near(lambda s: _hermite(fine, s), float(t0[0]), fine_h, horizon, q)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sasakigeo import subriemannian
+from sasakigeo import core, subriemannian
 from sasakigeo.cli import EXIT_BUDGET, EXIT_INVARIANT, EXIT_PASS, EXIT_USAGE, main
 
 
@@ -135,8 +135,9 @@ class TestExitCodes:
         def no_run(*args, **kwargs):
             raise AssertionError("a command ran on a non-finite flag")
 
-        for name in ("cc_distance", "integrate_geodesic"):
+        for name in ("cc_distance", "integrate_geodesic", "estimate_diameter"):
             monkeypatch.setattr(subriemannian, name, no_run)
+        monkeypatch.setattr(core, "verify_structure", no_run)
         heis = ["--model", "heisenberg", "--from", "0,0,0", "--to", "1,0,0"]
         nonfinite = "non-finite value"
         negative = "horizon must be positive"
@@ -144,6 +145,7 @@ class TestExitCodes:
         # count used to overflow with a traceback
         huge = "horizon '1e308' is too large"
         nonpositive = "non-positive value"
+        count = "non-positive count"
         cases = [
             (["geodesic", "--t-end", "inf"], "--t-end", nonfinite),
             (["geodesic", "--t-end", "nan"], "--t-end", nonfinite),
@@ -162,6 +164,15 @@ class TestExitCodes:
             (["dhomothety", "--mu", "-1"], "--mu", nonpositive),
             (["dhomothety", "--mu", "0"], "--mu", nonpositive),
             (["functionals", "--amplitude", "nan"], "--amplitude", nonfinite),
+            (["myers-verify", "--pairs", "0"], "--pairs", count),
+            (["myers-verify", "--pairs", "-1"], "--pairs", count),
+            (["diameter", "--pairs", "0"], "--pairs", count),
+            (["diameter", "--threads", "0"], "--threads", count),
+            (["diameter", "--threads", "-2"], "--threads", count),
+            (["geodesic", "--steps", "0"], "--steps", count),
+            (["check-identities", "--points", "-3"], "--points", count),
+            (["check-identities", "--points", "two"], "--points", "invalid int value"),
+            (["functionals", "--nodes", "-4"], "--nodes", count),
         ]
         for argv, flag, what in cases:
             code, out, err = run(capsys, *argv)

@@ -168,6 +168,17 @@ class TestTransformCount:
         assert calls["synthesize"] <= 40
         assert calls["analyze"] <= 10
 
+    def test_zero_potential_runs_no_transform(self, grid, monkeypatch):
+        def no_transform(X):
+            raise AssertionError("the zero potential synthesized a field")
+
+        monkeypatch.setattr(grid, "synthesize", no_transform)
+        zero = qt.BasicPotential.zero(grid)
+        for field in (zero.values, zero.box0()):
+            assert field.shape == (grid.n_theta, grid.n_phi)
+            assert not field.flags.writeable and not np.any(field)
+        assert np.all(zero.u() == 1.0)
+
 
 class TestReport:
     def test_full_report_consistency(self, grid, phi):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sasakigeo import models, subriemannian as sr
+from sasakigeo import dhomothety, models, subriemannian as sr
 from sasakigeo.models import MODEL_KEYS, get_model, make_heisenberg, make_round_sphere
 
 
@@ -240,3 +240,35 @@ class TestCovectorAlgebra:
         # sub mode sees only the unit horizontal part; riem adds a0^2/2
         assert np.max(np.abs(h_sub - 0.5)) < 1e-12
         assert np.max(np.abs(h_riem - 0.5 * (1.0 + a0**2))) < 1e-12
+
+
+def _central_gradient(f, z, eps=1e-6):
+    """Central differences of the scalar field ``f`` along each coordinate of ``z``."""
+    out = np.empty_like(z)
+    for k in range(z.shape[-1]):
+        dz = np.zeros(z.shape[-1])
+        dz[k] = eps
+        out[..., k] = (f(z + dz) - f(z - dz)) / (2.0 * eps)
+    return out
+
+
+class TestHamiltonField:
+    @pytest.mark.parametrize("key", ["s3", "s5", "heisenberg", "s3-dhom:2.0", "s5-dhom:1.7"])
+    @pytest.mark.parametrize("mode", ["sub", "riem"])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_rhs_is_hamiltons_equations(self, key, mode, lead):
+        # dx = dH/da and da = -dH/dx, by central differences of hamiltonian
+        if key == "s5-dhom:1.7":
+            model = dhomothety.apply(get_model("s5"), 1.7)
+        else:
+            model = get_model(key)
+        rng = np.random.default_rng(31)
+        count = int(np.prod(lead))
+        x = model.random_points(rng, count).reshape(lead + (model.ambient_dim,))
+        a = rng.standard_normal(lead + (model.ambient_dim,))
+        dx, da = model.hamiltonian_rhs(x, a, mode)
+        assert dx.shape == da.shape == x.shape
+        grad_a = _central_gradient(lambda b: model.hamiltonian(x, b, mode), a)
+        grad_x = _central_gradient(lambda y: model.hamiltonian(y, a, mode), x)
+        assert np.max(np.abs(dx - grad_a)) < 1e-7
+        assert np.max(np.abs(da + grad_x)) < 1e-7

@@ -94,6 +94,62 @@ class TestIntegration:
         assert inv.speed_relative_spread < 1e-9
 
 
+def _rk4_one_row(model, state, t_end, steps):
+    """Points and covectors of a plain RK4 loop on one (d,) row: the batch-1 oracle."""
+    x, a, mode = state.point, state.covector, state.mode
+    h = t_end / steps
+    xs, as_ = [x], [a]
+    for _ in range(steps):
+        k1x, k1a = model.hamiltonian_rhs(x, a, mode)
+        k2x, k2a = model.hamiltonian_rhs(x + 0.5 * h * k1x, a + 0.5 * h * k1a, mode)
+        k3x, k3a = model.hamiltonian_rhs(x + 0.5 * h * k2x, a + 0.5 * h * k2a, mode)
+        k4x, k4a = model.hamiltonian_rhs(x + h * k3x, a + h * k3a, mode)
+        x, a = model.project_state(
+            x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+            a + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a),
+        )
+        xs.append(x)
+        as_.append(a)
+    return np.array(xs), np.array(as_)
+
+
+class TestRowBatchedRK4:
+    @pytest.mark.parametrize(
+        "key, mode",
+        [("s3", "sub"), ("s5", "sub"), ("heisenberg", "sub"), ("s3-dhom:2.0", "riem"),
+         ("s5-dhom:1.7", "sub"), ("s5-dhom:1.7", "riem")],
+    )
+    def test_step_doubling_rows_equal_separate_runs(self, key, mode):
+        # rows of one run are independent: the coarse and fine rows are the
+        # one-row runs bit for bit, and those the plain batch-1 loop
+        if key == "s5-dhom:1.7":
+            model = dh.apply(models.get_model("s5"), 1.7)
+        else:
+            model = models.get_model(key)
+        rng = np.random.default_rng(61)
+        x = model.random_points(rng, 1)[0]
+        u = model.random_unit_horizontal(rng, x[None])[0]
+        cov = model.covector_from(x, 0.8 * u, 0.6)
+        state = sr.CotangentState.make(model, x, cov, mode)
+        coarse, fine = sr.integrate_geodesic(model, state, 1.3, (40, 80))
+        for path, steps in ((coarse, 40), (fine, 80)):
+            alone = sr.integrate_geodesic(model, state, 1.3, steps)
+            assert path.points.shape == (steps + 1, model.ambient_dim)
+            assert np.array_equal(path.points, alone.points)
+            assert np.array_equal(path.covectors, alone.covectors)
+            assert np.array_equal(path.t, alone.t) and path.step == alone.step
+            xs, as_ = _rk4_one_row(model, state, 1.3, steps)
+            assert np.array_equal(alone.points, xs)
+            assert np.array_equal(alone.covectors, as_)
+
+    def test_every_count_is_checked(self, s3):
+        x = np.array([1.0, 0, 0, 0])
+        u = s3.orthonormal_frame(x)[0]
+        state = sr.CotangentState.make(s3, x, s3.covector_from(x, u, 0.0))
+        with pytest.raises(ValueError, match="steps"):
+            sr.integrate_geodesic(s3, state, 1.0, (8, 16))
+
+
 class OffsetFlowHeisenberg(models.HeisenbergModel):
     """A planted wrong exact flow: every position off by 1e-2."""
 
@@ -279,8 +335,8 @@ class TestCertificate:
 
     def test_screened_probe_runs_no_rk4(self, heis, monkeypatch):
         # the confirm probe's candidate misses by far more than hit_tol on the
-        # exact flow, so only the converged candidate's two step-doubling
-        # integrations run
+        # exact flow, so only the converged candidate's step doubling runs:
+        # one integration of the two rows (n, 2 n)
         calls = []
         integrate = sr.integrate_geodesic
 
@@ -291,9 +347,9 @@ class TestCertificate:
         monkeypatch.setattr(sr, "integrate_geodesic", counting)
         r = sr.cc_distance(heis, np.zeros(3), np.array([1.0, 0, 0]))
         assert r.converged
-        assert len(calls) == 2
-        (t_h, n_h), (t_h2, n_h2) = calls
-        assert t_h == t_h2 and n_h2 == 2 * n_h
+        assert len(calls) == 1
+        (_, (n, n2)), = calls
+        assert n2 == 2 * n
 
 
 class TestBracketGeneration:

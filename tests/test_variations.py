@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sasakigeo import models, subriemannian as sr, variations as va
+from sasakigeo import dhomothety as dh, models, subriemannian as sr, variations as va
 
 
 def unit_speed_path(model, seed, t_end=2.0, steps=2000, a0=0.6):
@@ -16,7 +16,46 @@ def unit_speed_path(model, seed, t_end=2.0, steps=2000, a0=0.6):
     return sr.integrate_geodesic(model, state, t_end, steps)
 
 
+def _transport_per_slot(model, path, X_init):
+    """The frame by RK4 on the transport rule one slot at a time: the loop oracle."""
+
+    def rhs(j, Y):
+        x, v = path.points[j], path.velocities[j]
+        pv = model.phi(x, v)
+        xb, vb = np.broadcast_to(x, Y.shape), np.broadcast_to(v, Y.shape)
+        corr = model.metric(xb, Y, np.broadcast_to(pv, Y.shape))
+        return -model.gamma(xb, vb, Y) - corr[..., None] * model.reeb(x)
+
+    X = np.stack(X_init)
+    h2 = 2.0 * path.step
+    out = [X]
+    for j in range(0, path.t.shape[0] - 1, 2):
+        k1 = rhs(j, X)
+        k2 = rhs(j + 1, X + 0.5 * h2 * k1)
+        k3 = rhs(j + 1, X + 0.5 * h2 * k2)
+        k4 = rhs(j + 2, X + h2 * k3)
+        X = X + (h2 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        X = model.tangent_project(np.broadcast_to(path.points[j + 2], X.shape), X)
+        out.append(X)
+    return np.stack(out, axis=1)
+
+
 class TestFrameTransport:
+    @pytest.mark.parametrize("mu", [None, 1.7])
+    def test_step_matrix_product_matches_slot_loop(self, s5, mu):
+        model = s5 if mu is None else dh.apply(s5, mu)
+        path = unit_speed_path(model, 47, t_end=1.2, steps=1200)
+        init = va.initial_transverse_frame(model, path)
+        frame = va.transport_frame(model, path, init)
+        expected = _transport_per_slot(model, path, init)
+        assert frame.vectors.shape == expected.shape == (2, 601, 6)
+        assert np.max(np.abs(frame.vectors - expected)) < 1e-12
+
+    def test_heisenberg_frame_is_empty(self, heis):
+        path = unit_speed_path(heis, 48)
+        frame = va.transport_frame(heis, path, va.initial_transverse_frame(heis, path))
+        assert frame.vectors.shape == (0, 1001, 3)
+
     def test_s5_frame_invariants(self, s5):
         path = unit_speed_path(s5, 41)
         frame = va.transport_frame(s5, path, va.initial_transverse_frame(s5, path))
