@@ -97,6 +97,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _nodes(text: str) -> int:
+    """argparse type of ``functionals --nodes``: at least the functionals' node floor."""
+    value = _count(text)
+    if value < functionals.MIN_NODES:
+        raise argparse.ArgumentTypeError(f"need at least {functionals.MIN_NODES} nodes")
+    return value
+
+
 # Finest step a command samples a horizon at by default (geodesic's t/1e-3).
 _FINEST_STEP = 1e-3
 
@@ -563,7 +571,7 @@ def build_parser() -> _Parser:
     p.add_argument("--values-csv", default=None, help="potential values on the grid")
     p.add_argument("--grid", default="64x128", help="n_theta x n_phi")
     p.add_argument("--lmax", type=int, default=32)
-    p.add_argument("--nodes", type=_count, default=33, help="time quadrature nodes")
+    p.add_argument("--nodes", type=_nodes, default=33, help="time quadrature nodes")
 
     return parser
 

@@ -174,9 +174,12 @@ def _require_grid(grid: S2Grid) -> None:
         raise ValueError("quadrature grid must be at least 32 x 64")
 
 
-def _require_nodes(path: PotentialPath, minimum: int = 16) -> None:
-    if path.node_count < minimum:
-        raise ValueError(f"path needs at least {minimum} quadrature nodes")
+MIN_NODES = 16  # fewest time quadrature nodes a functional integrates a path with
+
+
+def _require_nodes(path: PotentialPath) -> None:
+    if path.node_count < MIN_NODES:
+        raise ValueError(f"path needs at least {MIN_NODES} quadrature nodes")
 
 
 def _segment_integral(grid: S2Grid, seg: PathSegment, node_fn) -> float:

@@ -348,9 +348,9 @@ class HeisenbergModel(SasakiModel):
 
 
 def make_round_sphere(n: int) -> SphereModel:
-    """Round sphere S^{2n+1}; n is capped at desk scale."""
-    if not isinstance(n, (int, np.integer)) or not 1 <= n <= 3:
-        raise ValueError(f"n must be an integer in [1, 3], got {n!r}")
+    """Round sphere S^{2n+1} of a registered key: s3 (n = 1) or s5 (n = 2)."""
+    if not isinstance(n, (int, np.integer)) or n not in (1, 2):
+        raise ValueError(f"n must be 1 or 2, got {n!r}")
     return SphereModel(int(n))
 
 

@@ -18,16 +18,18 @@ the Richardson estimate of the integration error there.  A candidate whose
 exact flow already misses by more than ``hit_tol`` is not integrated.
 
 Distances are estimated by shooting: a coarse grid over unit horizontal
-directions crossed with a Reeb-momentum grid, followed by compass (pattern)
-search and Gauss-Newton on (direction, a0) where the time variable is handled
-by recording the closest approach to the target along each trajectory (with
-sub-step parabolic interpolation).  Directions are unit rows ``c`` of frame
-coordinates in the orthonormal horizontal frame at the start point ``p``; one
-linear chart per search pass turns ``(c, a0)`` into unit-speed covectors, and
-between chart evaluations the search calls the model only through its exact
-flow.  Found lengths are upper bounds for the Carnot-Caratheodory distance; a
-miss within ``hit_tol`` of the target is required before a value is reported,
-otherwise the search returns a budget-exhausted status.
+directions crossed with a Reeb-momentum grid, whose trajectories are ranked
+by their closest approach to the target (sampled, with sub-step parabolic
+interpolation).  A compass (pattern) search on (direction, a0) walks the best
+seeds into their basins on the same sampled closest approaches; Newton on
+(direction, a0, flight time) then puts the exact endpoint on the target.
+Directions are unit rows ``c`` of frame coordinates in the orthonormal
+horizontal frame at the start point ``p``; one linear chart per search pass
+turns ``(c, a0)`` into unit-speed covectors, and between chart evaluations
+the search calls the model only through its exact flow.  A reported length is
+that of a normal geodesic from ``p`` whose certified miss is within
+``hit_tol`` of the target, otherwise the search returns a budget-exhausted
+status.
 """
 
 from __future__ import annotations
@@ -369,7 +371,6 @@ class ShootingConfig:
     hit_tol: float = 1e-3
     top_k: int = 3
     max_refine_rounds: int = 60
-    plateau_tol: float = 1e-6
     seed: int = 0
     widen_rounds: int = 3
     confirm_rounds: int = 4
@@ -377,7 +378,7 @@ class ShootingConfig:
     mode: str = "sub"
 
     def __post_init__(self):
-        for name in ("alpha0_max", "search_step", "certify_step", "hit_tol", "plateau_tol",
+        for name in ("alpha0_max", "search_step", "certify_step", "hit_tol",
                      "alpha0_cap") + (() if self.t_max is None else ("t_max",)):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
@@ -409,7 +410,7 @@ class ShootingResult:
     alpha0: float | None
     alpha0_boundary: bool
     widened_to: float
-    plateau: bool
+    plateau: bool  # the refine's Newton stalled above hit_tol
     rounds: int
 
     @property
@@ -739,13 +740,17 @@ def _certify(model, state, horizon, q, step, hit_tol):
 
 
 def _refine_candidate(model, chart, p, q, c, a0, t_seed, cfg, t_max):
-    """Two-phase local solve: compass walk, then damped Gauss-Newton.
+    """Compass walk on sampled closest approaches, then Newton on (direction, a0, flight time).
 
-    The compass phase moves (direction, Reeb momentum) until the closest
-    approach is roughly in the attraction basin; Gauss-Newton then drives the
-    endpoint onto the target at a fixed flight time, re-estimating that time
-    after every accepted step.  Directions are unit rows ``c`` in the frame
-    coordinates of ``chart``, the only route from them to covectors.
+    Newton solves ``x(t; c, a0) = q`` on exact endpoints: ``2n + 1`` unknowns,
+    as many as the manifold's dimension (least squares on the spheres' extra
+    ambient row).  A round takes a forward-difference Jacobian from ``2n + 2``
+    rows of one flow call and accepts the first of the steps 1, 1/2, 1/4, 1/8
+    that lowers the miss and keeps ``t`` in ``(0, t_max]``; it stops when none
+    does.  Directions are unit rows ``c`` in the frame coordinates of
+    ``chart``, the only route from them to covectors.  Returns ``(miss, t, c,
+    a0, stalled, rounds)``: the exact miss at flight time ``t`` after Newton,
+    and whether Newton stalled above ``hit_tol``.
     """
     mode = cfg.mode
     # keep the local horizon tight around the seeded flight time: a generous
@@ -754,26 +759,22 @@ def _refine_candidate(model, chart, p, q, c, a0, t_seed, cfg, t_max):
     t_loc = min(max(1.15 * t_seed + 0.2, 0.3), t_max)
     n_steps = max(16, int(round(t_loc / cfg.search_step)))
 
-    def rows(cs, a0s):
-        cov = chart(cs, a0s)
-        return np.broadcast_to(p, cov.shape), cov
-
     def evaluate(cs, a0s):
-        X0, cov = rows(cs, a0s)
-        T = np.full(len(cs), t_loc)
+        cov = chart(cs, a0s)
+        X0, T = np.broadcast_to(p, cov.shape), np.full(len(cs), t_loc)
         return _batched_closest_approach(model, X0, cov, T, n_steps, q, mode)
 
+    def endpoints(cs, a0s, ts):
+        cov = chart(cs, a0s)
+        return _flow_positions(model, np.broadcast_to(p, cov.shape), cov, ts[:, None], mode)[:, 0]
+
     def clamp_a0(v):
-        if mode == "riem":
-            return float(np.clip(v, -1.0, 1.0))
-        return float(v)
+        return np.clip(v, -1.0, 1.0) if mode == "riem" else v
 
     c = _unit(c)
     miss, t_at = evaluate(c[None], [a0])
     miss, t_at = float(miss[0]), float(t_at[0])
     d_dir, d_a0 = 0.25, 0.5
-    plateau = False
-    last_length = t_at
     rounds = 0
     compass_cap = min(30, cfg.max_refine_rounds)
     while rounds < compass_cap and miss > 0.05:
@@ -788,57 +789,37 @@ def _refine_candidate(model, chart, p, q, c, a0, t_seed, cfg, t_max):
         if float(pm[k]) < miss:
             c, a0 = probes_c[k], probes_a[k]
             miss, t_at = float(pm[k]), float(pt[k])
-            plateau = abs(t_at - last_length) < cfg.plateau_tol
-            last_length = t_at
         else:
             d_dir *= 0.5
             d_a0 *= 0.5
             if d_dir < 1e-4:
                 break
 
-    # Gauss-Newton on (tangent direction coordinates, Reeb momentum) at the
-    # current flight time; finite-difference Jacobian columns ride in one
-    # batch with the centre point.
+    # Newton on (c, a0, t): the centre row, then one forward-difference row
+    # per unknown (the direction basis, a0, t), each row at its own time
     eps = 1e-6
-    lam = 1e-8
-    t_cur = max(t_at, 4 * cfg.search_step)
-    while rounds < cfg.max_refine_rounds and miss > 0.05 * cfg.hit_tol:
+    halvings = 0.5 ** np.arange(4)
+    stalled = False
+    while rounds < cfg.max_refine_rounds:
         rounds += 1
         B = _direction_basis(c)
-        n_par = len(B) + 1
-        cs = np.vstack([c, _unit(c + eps * B), c])
-        a0s = [a0] * n_par + [a0 + eps]
-        X0, cov = rows(cs, a0s)
-        X = _flow_positions(model, X0, cov, np.full((len(cs), 1), t_cur), mode)[:, 0]
-        r = X[0] - q
-        J = (X[1:] - X[0]) / eps  # (n_par, amb): rows are parameter directions
-        G = J @ J.T
-        rhs = -J @ r
-        accepted = False
-        for _ in range(6):
-            try:
-                delta = np.linalg.solve(G + lam * np.eye(n_par), rhs)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            c_new = _unit(c + delta[:-1] @ B)
-            a0_new = clamp_a0(a0 + float(delta[-1]))
-            m_new, t_new = evaluate(c_new[None], [a0_new])
-            m_new, t_new = float(m_new[0]), float(t_new[0])
-            if m_new < miss:
-                c, a0, miss = c_new, a0_new, m_new
-                t_at = t_new
-                plateau = abs(t_at - last_length) < cfg.plateau_tol
-                last_length = t_at
-                t_cur = max(t_new, 4 * cfg.search_step)
-                lam = max(lam * 0.1, 1e-12)
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            plateau = True
+        cs = np.vstack([c, _unit(c + eps * B), c, c])
+        a0s = np.array([a0] * (len(B) + 1) + [a0 + eps, a0])
+        ts = np.array([t_at] * (len(B) + 2) + [t_at + eps])
+        X = endpoints(cs, a0s, ts)
+        miss = float(np.linalg.norm(X[0] - q))
+        delta = np.linalg.lstsq((X[1:] - X[0]).T / eps, q - X[0], rcond=None)[0]
+        trial_c = _unit(c + np.outer(halvings, delta[:-2] @ B))
+        trial_a = clamp_a0(a0 + halvings * delta[-2])
+        trial_t = t_at + halvings * delta[-1]
+        trial_miss = np.linalg.norm(endpoints(trial_c, trial_a, trial_t) - q, axis=-1)
+        better = (trial_t > 0.0) & (trial_t <= t_max) & (trial_miss < miss)
+        if not better.any():
+            stalled = miss > cfg.hit_tol
             break
-    return miss, t_at, c, a0, plateau, rounds
+        k = int(np.argmax(better))
+        c, a0, t_at, miss = trial_c[k], trial_a[k], float(trial_t[k]), float(trial_miss[k])
+    return miss, t_at, c, a0, stalled, rounds
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,9 @@ class TestExitCodes:
             (["check-identities", "--points", "-3"], "--points", count),
             (["check-identities", "--points", "two"], "--points", "invalid int value"),
             (["functionals", "--nodes", "-4"], "--nodes", count),
+            (["functionals", "--nodes", "3"], "--nodes", "need at least 16 nodes"),
+            (["functionals", "--nodes", "8"], "--nodes", "need at least 16 nodes"),
+            (["functionals", "--nodes", "15"], "--nodes", "need at least 16 nodes"),
         ]
         for argv, flag, what in cases:
             code, out, err = run(capsys, *argv)

@@ -44,7 +44,14 @@ class TestRegistry:
 
     def test_factories_match_registry(self):
         assert make_round_sphere(1).key == get_model("s3").key
+        assert make_round_sphere(2).key == get_model("s5").key
         assert make_heisenberg().key == get_model("heisenberg").key
+
+    @pytest.mark.parametrize("n", [0, 3, 1.0])
+    def test_round_sphere_only_registered(self, n):
+        # no registry key, command or test reaches S^7
+        with pytest.raises(ValueError, match="n must be 1 or 2"):
+            make_round_sphere(n)
 
 
 class TestSampling:

@@ -22,3 +22,18 @@ def test_energy_landscape_marks_only_half_critical():
     assert done.returncode == 0, done.stderr
     marked = [line for line in done.stdout.splitlines() if "<-- critical" in line]
     assert len(marked) == 1 and marked[0].strip().startswith("c = 0.50"), done.stdout
+
+
+def test_diameter_survey_within_bound():
+    done = run_script("diameter_survey.py", "--model", "s3", "--pairs", "2", "--threads", "1")
+    assert done.returncode == 0, done.stderr
+    assert "within bound" in done.stdout, done.stdout
+
+
+def test_deformation_sweep_flags_nothing():
+    done = run_script(
+        "deformation_sweep.py", "--ratios", "2.0", "--pairs", "2",
+        "--volume-samples", "2000", "--threads", "1",
+    )
+    assert done.returncode == 0, done.stderr
+    assert "<-- check" not in done.stdout, done.stdout

@@ -291,7 +291,7 @@ class TestConfigValidation:
         "bad",
         [
             {"t_max": -1.0}, {"t_max": math.inf}, {"certify_step": 0.0},
-            {"search_step": math.nan}, {"hit_tol": -1e-3}, {"plateau_tol": 0.0},
+            {"search_step": math.nan}, {"hit_tol": -1e-3},
             {"alpha0_max": 0.0}, {"alpha0_cap": math.inf}, {"n_directions": 0},
             {"n_alpha0": 0}, {"top_k": -1}, {"max_refine_rounds": 2.5},
             {"widen_rounds": -1}, {"confirm_rounds": "4"}, {"mode": "Riem"},

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from sasakigeo import dhomothety as dh, models, subriemannian as sr, variations as va
 
@@ -185,3 +186,34 @@ class TestMyersCertificate:
         assert cert.passed
         assert cert.length_within_bound
         assert abs(cert.bound - math.pi) < 1e-12
+
+
+class TestMyersClosedForm:
+    """The certificate integral in closed form, across the length bound.
+
+    Sub-mode geodesics are horizontal, and ``Ric^T(v, v) = tau`` for unit
+    horizontal ``v`` on the round spheres and ``s3-dhom:mu``, so the integral
+    of :func:`va._myers_integrand` over a geodesic of length ``L`` is
+    ``(L/2)((2 pi/L)^2 (2n - 1) - tau)``: positive below the bound, zero at
+    it and negative beyond, where the geodesic cannot minimize.
+    """
+
+    @pytest.mark.parametrize("key", ["s3", "s5", "s3-dhom:2.0"])
+    def test_sign_changes_at_the_bound(self, key):
+        model = models.get_model(key)
+        bound = sr._myers_bound(model.n, model.tau)
+        integrals = []
+        for factor in (0.9, 1.0, 1.1):
+            length = factor * bound
+            path = unit_speed_path(
+                model, 81, t_end=length, steps=2 * round(length / 4e-3), a0=0.3
+            )
+            integral = float(simpson(va._myers_integrand(model, path), x=path.t))
+            w = 2.0 * math.pi / length
+            closed = 0.5 * length * (w * w * (2 * model.n - 1) - model.tau)
+            assert abs(integral - closed) < 1e-8, (factor, integral, closed)
+            integrals.append(integral)
+        assert integrals[0] > 0.0 and abs(integrals[1]) < 1e-8 and integrals[2] < 0.0
+        # beyond the bound the phi-Reeb field shortens the geodesic
+        e2 = va.second_variation(model, path, va.phi_reeb_field(model, path))
+        assert e2 < 0.0
