@@ -63,7 +63,10 @@ class SasakiModel(abc.ABC):
     Concrete models supply closed-form tensors; everything higher level
     (identity checks, flows, variations) is built generically on top of this
     interface.  All methods accept batched input: points ``x`` and vectors
-    with shape (..., ambient_dim).
+    with shape (..., ambient_dim).  The cotangent flow acts on state rows
+    ``state = [x | a]`` of shape (..., 2 * ambient_dim): the point in the
+    first ``ambient_dim`` columns, its covector in the rest, one row per
+    state.
     """
 
     key: str
@@ -144,13 +147,12 @@ class SasakiModel(abc.ABC):
         """``mode='sub'``: H = (1/2) g^{-1}(a, a) - (1/2) a(xi)^2; ``'riem'`` keeps the full kinetic term."""
 
     @abc.abstractmethod
-    def hamiltonian_rhs(
-        self, x: np.ndarray, a: np.ndarray, mode: str = "sub"
-    ) -> tuple[np.ndarray, np.ndarray]: ...
+    def hamiltonian_rhs(self, state: np.ndarray, mode: str = "sub") -> np.ndarray:
+        """Hamilton's equations ``[dH/da | -dH/dx]`` at the state rows ``[x | a]``."""
 
-    def project_state(self, x: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-step renormalisation of the cotangent state (default: none)."""
-        return x, a
+    def project_state(self, state: np.ndarray) -> np.ndarray:
+        """Per-step renormalisation of the state rows ``[x | a]`` (default: none)."""
+        return state
 
     # -- exact flows (the shooting search requires both) -------------------
     @abc.abstractmethod

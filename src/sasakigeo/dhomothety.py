@@ -147,19 +147,20 @@ class DHomotheticModel(SasakiModel):
         a0 = src.alpha0(x, a)
         return h_horizontal / self.s + 0.5 * a0 * a0 / self.s**2
 
-    def hamiltonian_rhs(self, x, a, mode="sub"):
+    def hamiltonian_rhs(self, state, mode="sub"):
         src = self.source
-        dx, da = src.hamiltonian_rhs(x, a, mode="sub")
-        dx, da = dx / self.s, da / self.s
+        out = self.mu * src.hamiltonian_rhs(state, mode="sub")
         if mode == "riem":
+            d = self.ambient_dim
+            x, a = state[..., :d], state[..., d:]
             xi = src.reeb(x)
-            a0 = _dot(a, xi)[..., None]
-            dx = dx + a0 * xi / self.s**2
-            da = da - a0 * src.reeb_jacobian_T(x, a) / self.s**2
-        return dx, da
+            a0 = self.mu**2 * _dot(a, xi)[..., None]
+            out[..., :d] += a0 * xi
+            out[..., d:] -= a0 * src.reeb_jacobian_T(x, a)
+        return out
 
-    def project_state(self, x, a):
-        return self.source.project_state(x, a)
+    def project_state(self, state):
+        return self.source.project_state(state)
 
     def flow_positions(self, x0, a, t):
         """Exact horizontal flow: the source flow at time ``mu t`` (H_sub scales by ``mu``)."""

@@ -41,6 +41,30 @@ __all__ = [
 ]
 
 
+def _field_map(mode: str) -> np.ndarray:
+    """The 8x8 map from the sphere's Gram entries to the weights of its field.
+
+    With ``W = (x, a, Jx, Ja)`` and ``G = (x, a) @ W^T``, the entries of
+    ``G.reshape(8)`` are ``x.x, x.a, x.Jx, x.Ja, a.x, a.a, a.Jx, a.Ja`` and
+    ``G.reshape(8) @ P`` holds the weights of ``W`` in ``dx`` and then in
+    ``da``:
+
+        dx = xx a - ax x - aJx Jx,      da = ax a - aa x - aJx Ja;
+
+    riem mode drops the ``aJx`` terms.
+    """
+    xx, ax, aa, aJx = 0, 4, 5, 6
+    P = np.zeros((8, 8))
+    P[ax, 0], P[xx, 1] = -1.0, 1.0
+    P[aa, 4], P[ax, 5] = -1.0, 1.0
+    if mode == "sub":
+        P[aJx, 2] = P[aJx, 7] = -1.0
+    return P
+
+
+_FIELD_MAPS = {mode: _field_map(mode) for mode in ("sub", "riem")}
+
+
 class SphereModel(SasakiModel):
     """Round Sasakian sphere S^{2n+1} in R^{2n+2}."""
 
@@ -49,6 +73,8 @@ class SphereModel(SasakiModel):
             raise ValueError("need n >= 1")
         self.n = n
         self.key = f"s{2 * n + 1}"
+        # v @ self._JT == self._J(v)
+        self._JT = self._J(np.eye(self.ambient_dim))
 
     @property
     def tau(self) -> float:
@@ -118,21 +144,19 @@ class SphereModel(SasakiModel):
             h = h - 0.5 * aJx * aJx
         return h
 
-    def hamiltonian_rhs(self, x, a, mode="sub"):
-        xx, aa = _dot(x, x)[..., None], _dot(a, a)[..., None]
-        ax = _dot(a, x)[..., None]
-        dx = xx * a - ax * x
-        da = ax * a - aa * x
-        if mode == "sub":
-            Jx = self._J(x)
-            aJx = _dot(a, Jx)[..., None]
-            dx = dx - aJx * Jx
-            da = da - aJx * self._J(a)
-        return dx, da
+    def hamiltonian_rhs(self, state, mode="sub"):
+        # linear in W = (x, a, Jx, Ja), with weights read off its Gram entries
+        Y = state.reshape(state.shape[:-1] + (2, self.ambient_dim))
+        W = np.concatenate((Y, Y @ self._JT), axis=-2)
+        G = Y @ W.swapaxes(-1, -2)
+        C = (G.reshape(G.shape[:-2] + (8,)) @ _FIELD_MAPS[mode]).reshape(G.shape)
+        return (C @ W).reshape(state.shape)
 
-    def project_state(self, x, a):
-        x = self.project_point(x)
-        return x, a - _dot(a, x)[..., None] * x
+    def project_state(self, state):
+        d = self.ambient_dim
+        x = self.project_point(state[..., :d])
+        a = state[..., d:]
+        return np.concatenate((x, a - _dot(a, x)[..., None] * x), axis=-1)
 
     # -- exact flow --------------------------------------------------------
     def flow_positions(self, x0, a, t):
@@ -276,16 +300,15 @@ class HeisenbergModel(SasakiModel):
             h = h + 0.125 * a[..., 2] * a[..., 2]
         return h
 
-    def hamiltonian_rhs(self, x, a, mode="sub"):
-        y, az = x[..., 1], a[..., 2]
-        w = a[..., 0] + y * az
-        dx = np.empty(w.shape + (3,))
-        dx[..., 0] = w
-        dx[..., 1] = a[..., 1]
-        dx[..., 2] = y * w if mode == "sub" else y * w + 0.25 * az
-        da = np.zeros(dx.shape)
-        da[..., 1] = -w * az
-        return dx, da
+    def hamiltonian_rhs(self, state, mode="sub"):
+        y, az = state[..., 1], state[..., 5]
+        w = state[..., 3] + y * az
+        out = np.zeros(state.shape)
+        out[..., 0] = w
+        out[..., 1] = state[..., 4]
+        out[..., 2] = y * w if mode == "sub" else y * w + 0.25 * az
+        out[..., 4] = -w * az
+        return out
 
     @property
     def tau(self) -> float:

@@ -6,8 +6,9 @@ The horizontal (sub-Riemannian) Hamiltonian is
 
 whose flow projects to horizontal constant-speed curves ("normal geodesics")
 satisfying  ``nabla_v v + 2 a0 phi(v) = 0``  with ``a0 = a(xi)`` constant.
-Integration is fixed-step RK4 on (x, a) with per-step state projection, over
-a leading axis of rows that share each step's model calls.  The searches run
+Integration is fixed-step RK4 on state rows ``[x | a]`` (point and covector
+side by side, one array) with per-step state projection, over a leading axis
+of rows that share each step's model calls.  The searches run
 batched over rows of initial covectors through one flow evaluator, the
 model's exact flow in both modes: the sub flow (``flow_positions``), followed
 in riem mode by the Reeb flow (``reeb_flow``) for time ``a0 t``.
@@ -173,29 +174,28 @@ class GeodesicPath:
 # ---------------------------------------------------------------------------
 
 
-def _rk4_rows(model, x, a, h, iterations, mode):
-    """RK4 samples (iterations + 1, rows, d) of the rows ``(x, a)``, row ``i`` at step ``h[i]``.
+def _rk4_rows(model, state, h, iterations, mode):
+    """RK4 samples of the state rows ``[x | a]`` (rows, 2 d), row ``i`` at step ``h[i]``.
 
-    Rows are independent, so each row's samples are those of a one-row run
-    bit for bit; the rows share each step's model calls.  Every step ends
-    with the model's state projection.
+    Returns the points and covectors, (iterations + 1, rows, d) each, as
+    views of one sample buffer.  Rows are independent, so each row's samples
+    are those of a one-row run bit for bit; the rows share each step's model
+    calls.  Every step ends with the model's state projection, written
+    straight into the buffer.
     """
     h = np.asarray(h, dtype=float)[:, None]
     half, sixth = 0.5 * h, h / 6.0
-    xs = np.empty((iterations + 1,) + x.shape)
-    as_ = np.empty_like(xs)
-    xs[0], as_[0] = x, a
+    ys = np.empty((iterations + 1,) + state.shape)
+    ys[0] = y = state
     for i in range(iterations):
-        k1x, k1a = model.hamiltonian_rhs(x, a, mode)
-        k2x, k2a = model.hamiltonian_rhs(x + half * k1x, a + half * k1a, mode)
-        k3x, k3a = model.hamiltonian_rhs(x + half * k2x, a + half * k2a, mode)
-        k4x, k4a = model.hamiltonian_rhs(x + h * k3x, a + h * k3a, mode)
-        x, a = model.project_state(
-            x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-            a + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a),
-        )
-        xs[i + 1], as_[i + 1] = x, a
-    return xs, as_
+        k1 = model.hamiltonian_rhs(y, mode)
+        k2 = model.hamiltonian_rhs(y + half * k1, mode)
+        k3 = model.hamiltonian_rhs(y + half * k2, mode)
+        k4 = model.hamiltonian_rhs(y + h * k3, mode)
+        ys[i + 1] = model.project_state(y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        y = ys[i + 1]
+    d = state.shape[-1] // 2
+    return ys[..., :d], ys[..., d:]
 
 
 def integrate_geodesic(
@@ -207,25 +207,31 @@ def integrate_geodesic(
 ) -> GeodesicPath | list[GeodesicPath]:
     """Integrate the cotangent flow and record every sample.
 
-    ``steps`` must be at least 16 and, in sub mode, the initial state must
-    carry horizontal motion (H > 0).  A tuple of step counts returns one path
-    per count, integrated together as the rows of one RK4 run of
-    ``max(steps)`` steps: row ``i`` steps by ``t_end / steps[i]`` and keeps
-    its first ``steps[i] + 1`` samples.  Each path equals a run of its own
-    count bit for bit; step doubling is ``steps=(n, 2 n)``.
+    ``t_end`` must be finite and positive, ``steps`` an integer of at least
+    16 and, in sub mode, the initial state must carry horizontal motion
+    (H > 0).  A tuple of step counts returns one path per count, integrated
+    together as the rows of one RK4 run of ``max(steps)`` steps: row ``i``
+    steps by ``t_end / steps[i]`` and keeps its first ``steps[i] + 1``
+    samples.  Each path equals a run of its own count bit for bit; step
+    doubling is ``steps=(n, 2 n)``.
     """
     mode = init.mode if mode is None else mode
+    t_end = float(t_end)
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
     counts = steps if isinstance(steps, tuple) else (steps,)
+    if not counts or not all(
+        isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in counts
+    ):
+        raise ValueError(f"steps must be an integer count or a tuple of them, got {steps!r}")
     if min(counts) < 16:
         raise ValueError("steps must be >= 16")
     h_sub = float(model.hamiltonian(init.point, init.covector, mode="sub"))
     if mode == "sub" and not h_sub > 1e-15:
         raise ValueError("initial covector has no horizontal motion (H = 0)")
-    hs = [float(t_end) / n for n in counts]
-    rows = (len(counts), 1)
-    xs, as_ = _rk4_rows(
-        model, np.tile(init.point, rows), np.tile(init.covector, rows), hs, max(counts), mode
-    )
+    hs = [t_end / n for n in counts]
+    state = np.concatenate((init.point, init.covector))
+    xs, as_ = _rk4_rows(model, np.tile(state, (len(counts), 1)), hs, max(counts), mode)
     paths = [
         _sampled_path(model, mode, t_end, h, xs[: n + 1, i].copy(), as_[: n + 1, i].copy())
         for i, (n, h) in enumerate(zip(counts, hs))

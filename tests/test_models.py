@@ -273,9 +273,86 @@ class TestHamiltonField:
         count = int(np.prod(lead))
         x = model.random_points(rng, count).reshape(lead + (model.ambient_dim,))
         a = rng.standard_normal(lead + (model.ambient_dim,))
-        dx, da = model.hamiltonian_rhs(x, a, mode)
+        d = model.ambient_dim
+        dstate = model.hamiltonian_rhs(np.concatenate((x, a), axis=-1), mode)
+        dx, da = dstate[..., :d], dstate[..., d:]
         assert dx.shape == da.shape == x.shape
         grad_a = _central_gradient(lambda b: model.hamiltonian(x, b, mode), a)
         grad_x = _central_gradient(lambda y: model.hamiltonian(y, a, mode), x)
         assert np.max(np.abs(dx - grad_a)) < 1e-7
         assert np.max(np.abs(da + grad_x)) < 1e-7
+
+
+def _pair_rotation(v):
+    """Multiplication by i on R^{2n+2} ~ C^{n+1}: each pair (p, q) -> (-q, p)."""
+    out = np.empty_like(v)
+    out[..., 0::2], out[..., 1::2] = -v[..., 1::2], v[..., 0::2]
+    return out
+
+
+def _pair_dot(u, v):
+    return np.sum(u * v, axis=-1, keepdims=True)
+
+
+def _elementwise_sphere_field(x, a, mode):
+    """The sphere's Hamilton equations term by term: an independent copy of the field."""
+    xx, aa, ax = _pair_dot(x, x), _pair_dot(a, a), _pair_dot(a, x)
+    dx = xx * a - ax * x
+    da = ax * a - aa * x
+    if mode == "sub":
+        Jx = _pair_rotation(x)
+        aJx = _pair_dot(a, Jx)
+        dx = dx - aJx * Jx
+        da = da - aJx * _pair_rotation(a)
+    return dx, da
+
+
+def _oracle_field(key, x, a, mode):
+    """The elementwise field of s3, s5 or ``s5-dhom:mu`` (mu times the sub field plus mu^2 a0 Reeb terms)."""
+    if key in ("s3", "s5"):
+        return _elementwise_sphere_field(x, a, mode)
+    mu = float(key.split(":")[1])
+    dx, da = _elementwise_sphere_field(x, a, "sub")
+    dx, da = mu * dx, mu * da
+    if mode == "riem":
+        Jx, Ja = _pair_rotation(x), _pair_rotation(a)
+        a0 = _pair_dot(a, Jx)
+        dx = dx + mu * mu * a0 * Jx
+        da = da + mu * mu * a0 * Ja
+    return dx, da
+
+
+def _sphere_or_deformed(key):
+    if key == "s5-dhom:1.7":
+        return dhomothety.apply(get_model("s5"), 1.7)
+    return get_model(key)
+
+
+class TestGramField:
+    @pytest.mark.parametrize("key", ["s3", "s5", "s5-dhom:1.7"])
+    @pytest.mark.parametrize("mode", ["sub", "riem"])
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+    def test_matches_elementwise_field_off_the_manifold(self, key, mode, lead):
+        model = _sphere_or_deformed(key)
+        d = model.ambient_dim
+        rng = np.random.default_rng(47)
+        x = 1.7 * rng.standard_normal(lead + (d,))
+        a = rng.standard_normal(lead + (d,))
+        got = model.hamiltonian_rhs(np.concatenate((x, a), axis=-1), mode)
+        want = np.concatenate(_oracle_field(key, x, a, mode), axis=-1)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("key", ["s3", "s5", "s5-dhom:1.7"])
+    def test_project_state_lands_on_the_cotangent_bundle(self, key):
+        model = _sphere_or_deformed(key)
+        d = model.ambient_dim
+        rng = np.random.default_rng(48)
+        state = np.concatenate(
+            (1.3 * rng.standard_normal((50, d)), rng.standard_normal((50, d))), axis=-1
+        )
+        out = model.project_state(state)
+        x, a = out[:, :d], out[:, d:]
+        assert out.shape == state.shape
+        assert np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0)) <= 1e-15
+        assert np.max(np.abs(np.sum(a * x, axis=-1))) <= 1e-15

@@ -1,6 +1,9 @@
 """Cotangent flow conservation, two-point search, and distance oracles."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -43,6 +46,22 @@ class TestIntegration:
         state = sr.CotangentState.make(s3, x, s3.covector_from(x, u, 0.0))
         with pytest.raises(ValueError, match="steps"):
             sr.integrate_geodesic(s3, state, 1.0, 8)
+
+    @pytest.mark.parametrize("t_end", [-1.0, 0.0, np.nan, np.inf, -np.inf])
+    def test_bad_horizon_rejected(self, s3, t_end):
+        x = np.array([1.0, 0, 0, 0])
+        u = s3.orthonormal_frame(x)[0]
+        state = sr.CotangentState.make(s3, x, s3.covector_from(x, u, 0.0))
+        with pytest.raises(ValueError, match="t_end"):
+            sr.integrate_geodesic(s3, state, t_end, 100)
+
+    @pytest.mark.parametrize("steps", [16.5, 100.0, True, (40, 16.5), (40, True), ()])
+    def test_non_integral_steps_rejected(self, s3, steps):
+        x = np.array([1.0, 0, 0, 0])
+        u = s3.orthonormal_frame(x)[0]
+        state = sr.CotangentState.make(s3, x, s3.covector_from(x, u, 0.0))
+        with pytest.raises(ValueError, match="steps"):
+            sr.integrate_geodesic(s3, state, 1.0, steps)
 
     def test_zero_horizontal_motion_rejected(self, s3):
         # a purely vertical covector has H = 0 in sub mode: no normal
@@ -96,21 +115,18 @@ class TestIntegration:
 
 def _rk4_one_row(model, state, t_end, steps):
     """Points and covectors of a plain RK4 loop on one (d,) row: the batch-1 oracle."""
-    x, a, mode = state.point, state.covector, state.mode
+    y, mode = np.concatenate((state.point, state.covector)), state.mode
     h = t_end / steps
-    xs, as_ = [x], [a]
+    ys = [y]
     for _ in range(steps):
-        k1x, k1a = model.hamiltonian_rhs(x, a, mode)
-        k2x, k2a = model.hamiltonian_rhs(x + 0.5 * h * k1x, a + 0.5 * h * k1a, mode)
-        k3x, k3a = model.hamiltonian_rhs(x + 0.5 * h * k2x, a + 0.5 * h * k2a, mode)
-        k4x, k4a = model.hamiltonian_rhs(x + h * k3x, a + h * k3a, mode)
-        x, a = model.project_state(
-            x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-            a + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a),
-        )
-        xs.append(x)
-        as_.append(a)
-    return np.array(xs), np.array(as_)
+        k1 = model.hamiltonian_rhs(y, mode)
+        k2 = model.hamiltonian_rhs(y + 0.5 * h * k1, mode)
+        k3 = model.hamiltonian_rhs(y + 0.5 * h * k2, mode)
+        k4 = model.hamiltonian_rhs(y + h * k3, mode)
+        y = model.project_state(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        ys.append(y)
+    ys, d = np.array(ys), model.ambient_dim
+    return ys[:, :d], ys[:, d:]
 
 
 class TestRowBatchedRK4:
@@ -148,6 +164,40 @@ class TestRowBatchedRK4:
         state = sr.CotangentState.make(s3, x, s3.covector_from(x, u, 0.0))
         with pytest.raises(ValueError, match="steps"):
             sr.integrate_geodesic(s3, state, 1.0, (8, 16))
+
+
+_DIGEST_PATHS = """
+import hashlib
+import numpy as np
+from sasakigeo import models, subriemannian as sr
+
+digest = hashlib.sha256()
+for key, mode in (("s5", "sub"), ("s3-dhom:2.0", "riem")):
+    model = models.get_model(key)
+    rng = np.random.default_rng(61)
+    x = model.random_points(rng, 1)[0]
+    u = model.random_unit_horizontal(rng, x[None])[0]
+    state = sr.CotangentState.make(model, x, model.covector_from(x, 0.8 * u, 0.6), mode)
+    for path in sr.integrate_geodesic(model, state, 1.3, (200, 400)):
+        digest.update(path.points.tobytes())
+        digest.update(path.covectors.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_paths_do_not_depend_on_the_blas_thread_count():
+    # the sphere field is a product of small matrices: its bytes must not
+    # change with the number of threads the BLAS may use
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run([sys.executable, "-c", _DIGEST_PATHS], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 class OffsetFlowHeisenberg(models.HeisenbergModel):
