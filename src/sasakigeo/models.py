@@ -154,9 +154,11 @@ class SphereModel(SasakiModel):
 
     def project_state(self, state):
         d = self.ambient_dim
-        x = self.project_point(state[..., :d])
-        a = state[..., d:]
-        return np.concatenate((x, a - _dot(a, x)[..., None] * x), axis=-1)
+        out = np.empty_like(state)
+        x, a = state[..., :d], state[..., d:]
+        x = np.divide(x, np.sqrt(_dot(x, x))[..., None], out=out[..., :d])
+        np.subtract(a, _dot(a, x)[..., None] * x, out=out[..., d:])
+        return out
 
     # -- exact flow --------------------------------------------------------
     def flow_positions(self, x0, a, t):

@@ -12,11 +12,12 @@ of rows that share each step's model calls.  The searches run
 batched over rows of initial covectors through one flow evaluator, the
 model's exact flow in both modes: the sub flow (``flow_positions``), followed
 in riem mode by the Reeb flow (``reeb_flow``) for time ``a0 t``.
-Certification always integrates the connecting geodesic by RK4, with step
-doubling run as one two-row integration: the reported ``miss`` is the
-closest approach of the fine path (on its cubic Hermite interpolant) plus
-the Richardson estimate of the integration error there.  A candidate whose
-exact flow already misses by more than ``hit_tol`` is not integrated.
+Certification always integrates the connecting geodesic by RK4 to the flight
+time the search found, with step doubling run as one two-row integration:
+the reported ``miss`` is the fine endpoint's distance to the target plus the
+Richardson estimate of the integration error there, and the reported length
+is that flight time.  A candidate whose exact flow already misses by more
+than ``hit_tol`` is not integrated.
 
 Distances are estimated by shooting: a coarse grid over unit horizontal
 directions crossed with a Reeb-momentum grid, whose trajectories are ranked
@@ -547,9 +548,13 @@ def cc_distance(
 ) -> ShootingResult:
     """Length of the best normal geodesic found from ``p`` into a ball around ``q``.
 
-    The returned length is an upper bound for the distance between the
-    points.  Unit-speed initial covectors make length equal to flow time, so
-    the search ranks candidates directly by closest approach and flow time.
+    The returned length is the flight time of a unit-speed normal geodesic
+    from ``p`` whose RK4 endpoint, with its certified integration error, lies
+    within ``miss`` (at most ``hit_tol``) of ``q``.  It bounds the distance
+    between the points from above only once the length of a path across that
+    miss is added, and that sum is not reported.  Unit-speed initial
+    covectors make length equal to flow time, so the search ranks candidates
+    directly by closest approach and flow time.
     """
     cfg = cfg or ShootingConfig()
     p = np.asarray(p, dtype=float)
@@ -565,7 +570,6 @@ def cc_distance(
 
     t_max = cfg.resolved_t_max(model)
     A = cfg.alpha0_max
-    result = None
     round_id = 0
     for widen_round in range(cfg.widen_rounds + 1):
         result = _search_once(model, p, q, cfg, t_max, A, round_id)
@@ -575,8 +579,6 @@ def cc_distance(
         if A >= cfg.alpha0_cap or widen_round == cfg.widen_rounds:
             return result
         A = min(2.0 * A, cfg.alpha0_cap)
-    if not result.converged:
-        return result
 
     # Convergence only certifies *a* geodesic into the target ball, and the
     # refinement can settle on a long connection while a short one exists in
@@ -659,90 +661,44 @@ def _search_once(model, p, q, cfg, t_max, A, round_id=0):
     refined.sort(key=_rank)
     last = None
     for miss_c, t_c, c_c, a0_c, plateau, _ in refined:
-        horizon = min(max(1.25 * t_c, 0.4), t_max)
         state = CotangentState.make(model, p, chart(c_c[None], [a0_c])[0], mode)
-        miss_f, t_f = _certify(model, state, horizon, q, cfg.certify_step, cfg.hit_tol)
+        # the exact miss screens: past hit_tol no RK4 run is made for the
+        # candidate, and its exact miss is the one reported
+        miss = miss_c if miss_c > cfg.hit_tol else _certify(model, state, t_c, q, cfg.certify_step)
         boundary = abs(a0_c) > 0.95 * A
-        last = (state, miss_f, a0_c, boundary, plateau)
-        if miss_f <= cfg.hit_tol:
+        last = (state, miss, a0_c, boundary, plateau)
+        if miss <= cfg.hit_tol:
             return ShootingResult(
-                "converged", t_f, state, miss_f, a0_c, boundary, A, plateau, total_rounds
+                "converged", t_c, state, miss, a0_c, boundary, A, plateau, total_rounds
             )
         if miss_c > cfg.hit_tol:
             break  # remaining candidates have worse refined misses
-    state, miss_f, a0_c, boundary, plateau = last
+    state, miss, a0_c, boundary, plateau = last
     return ShootingResult(
-        "budget-exhausted", None, state, miss_f, a0_c, boundary, A, plateau, total_rounds
+        "budget-exhausted", None, state, miss, a0_c, boundary, A, plateau, total_rounds
     )
 
 
-# A candidate whose exact flow misses the target by more than hit_tol plus
-# this slack cannot certify: the exact flows agree with RK4 and its step
-# doubling far below it, so its RK4 runs are skipped.
-_SCREEN_SLACK = 1e-6
+def _certify(model, state, t, q, step):
+    """Certified miss at ``q`` of the geodesic of ``state`` after flight time ``t``.
 
-
-def _closest_near(positions, t0, h, horizon, q):
-    """Closest approach (miss, t) to ``q`` of the curve ``positions(s)`` within ``h`` of ``t0``.
-
-    The window is sampled at 401 times and its discrete minimum refined by a
-    parabola; the miss is the distance of the curve itself at that time.
+    RK4 runs to ``t`` at ``2 step`` and ``step`` (step doubling), as the two
+    rows of one :func:`integrate_geodesic` run of ``2 n`` steps whose coarse
+    row keeps its first ``n + 1`` samples.  The miss is the fine endpoint's
+    distance to ``q`` plus ``16/15`` of the gap between the two endpoints:
+    the Richardson estimate of the coarse path's order-4 error, which bounds
+    the fine path's by a factor 16.  At ``t <= 0`` the connection is ``p``
+    itself and the miss is ``|p - q|``.  Only RK4 certifies, so a wrong exact
+    flow can cost a connection but never certify a false one.
     """
-    lo, hi = max(t0 - h, 0.0), min(t0 + h, horizon)
-    diff = positions(np.linspace(lo, hi, 401)) - q
-    _, t = _closest_sample(_dot(diff, diff)[:, None], np.array([(hi - lo) / 400.0]))
-    t_f = lo + float(t[0])
-    return float(np.linalg.norm(positions(np.array([t_f]))[0] - q)), t_f
-
-
-def _hermite(path, s):
-    """Cubic Hermite interpolant of the samples and velocities of ``path`` at times ``s``."""
-    h = path.step
-    k = np.clip(np.floor(s / h).astype(int), 0, path.t.size - 2)
-    w = (s / h - k)[:, None]
-    x, v = path.points, path.velocities
-    return (
-        (1.0 + 2.0 * w) * (1.0 - w) ** 2 * x[k]
-        + w * (1.0 - w) ** 2 * h * v[k]
-        + w * w * (3.0 - 2.0 * w) * x[k + 1]
-        - w * w * (1.0 - w) * h * v[k + 1]
+    if t <= 0.0:
+        return float(np.linalg.norm(state.point - q))
+    n = max(16, int(round(t / (2.0 * step))))
+    coarse, fine = integrate_geodesic(model, state, t, (n, 2 * n))
+    end = fine.points[-1]
+    return float(np.linalg.norm(end - q)) + 16.0 / 15.0 * float(
+        np.linalg.norm(coarse.points[-1] - end)
     )
-
-
-def _certify(model, state, horizon, q, step, hit_tol):
-    """Certified miss and closest-approach time of the geodesic of ``state`` at ``q``.
-
-    The exact flow screens first: a candidate it puts farther than
-    ``hit_tol + _SCREEN_SLACK`` from ``q`` cannot certify, and its screened
-    miss is returned without integrating.  Otherwise RK4 runs at ``2 step``
-    and ``step`` over ``horizon`` (step doubling), as the two rows of one
-    :func:`integrate_geodesic` run of ``2 n`` steps whose coarse row keeps
-    its first ``n + 1`` samples.  The closest approach is
-    taken on the cubic Hermite interpolant of the fine path, and the miss
-    adds ``16/15`` of the gap between the two paths at the coarse samples
-    bracketing it: the Richardson estimate of the coarse path's order-4
-    error, which bounds the fine path's by a factor 16.  Only RK4 certifies,
-    so a wrong exact flow can cost a connection but never certify a false one.
-    """
-    mode = state.mode
-    n = max(16, int(round(horizon / (2.0 * step))))
-    fine_h = horizon / (2 * n)
-    x0, a = state.point[None], state.covector[None]
-
-    def exact(s):
-        return _flow_positions(model, x0, a, s[None], mode)[0]
-
-    _, t0 = _batched_closest_approach(model, x0, a, [horizon], 2 * n, q, mode)
-    miss, t_f = _closest_near(exact, float(t0[0]), fine_h, horizon, q)
-    if miss > hit_tol + _SCREEN_SLACK:
-        return miss, t_f
-    coarse, fine = integrate_geodesic(model, state, horizon, (n, 2 * n))
-    diff = fine.points - q
-    _, t0 = _closest_sample(_dot(diff, diff)[:, None], np.array([fine_h]))
-    miss, t_f = _closest_near(lambda s: _hermite(fine, s), float(t0[0]), fine_h, horizon, q)
-    k = min(int(t_f / coarse.step), n - 1)
-    gap = np.linalg.norm(coarse.points[k:k + 2] - fine.points[2 * k:2 * k + 3:2], axis=-1)
-    return miss + 16.0 / 15.0 * float(np.max(gap)), t_f
 
 
 def _refine_candidate(model, chart, p, q, c, a0, t_seed, cfg, t_max):

@@ -172,7 +172,7 @@ def test_heisenberg_search_is_exact():
     assert not rep.partial
     for pair in rep.pairs:
         exact = heisenberg_distance(pair.p, pair.q)
-        assert abs(pair.result.distance - exact) < 1e-8, (pair.index, pair.result.distance, exact)
+        assert abs(pair.result.distance - exact) < 1e-12, (pair.index, pair.result.distance, exact)
 
 
 @pytest.mark.parametrize("key", ["s3", "s5"])
@@ -183,4 +183,4 @@ def test_sphere_search_is_exact_and_never_short(key):
     for pair in rep.pairs:
         exact = sphere_distance(pair.p, pair.q)
         d = pair.result.distance
-        assert exact - 1e-12 <= d <= exact + 1e-8, (pair.index, d, exact)
+        assert exact - 1e-12 <= d <= exact + 1e-12, (pair.index, d, exact)

@@ -377,6 +377,23 @@ class TestCertificate:
         )[0, 0]
         assert r.miss >= np.linalg.norm(x_f - q) - 1e-12
 
+    @pytest.mark.parametrize(
+        "key, mode",
+        [("s3", "sub"), ("s5", "sub"), ("heisenberg", "sub"), ("s3-dhom:2.0", "riem")],
+    )
+    def test_distance_is_the_flight_time_of_an_exact_connection(self, key, mode):
+        # certification runs to the refine's flight time, so the exact flow
+        # lands on the target at the reported distance
+        model = models.get_model(key)
+        p, q = model.random_points(np.random.default_rng(21), 2)
+        r = sr.cc_distance(model, p, q, sr.ShootingConfig(seed=21, mode=mode))
+        assert r.converged
+        init = r.best_init
+        x = sr._flow_positions(
+            model, init.point[None], init.covector[None], np.array([[r.distance]]), mode
+        )[0, 0]
+        assert np.linalg.norm(x - q) <= 1e-12
+
     def test_antipode_time(self, s3):
         p = np.array([1.0, 0, 0, 0])
         r = sr.cc_distance(s3, p, -p)
@@ -437,6 +454,16 @@ class TestDistanceOracles:
         p = np.array([1.0, 0, 0, 0])
         r = sr.cc_distance(s3, p, p)
         assert r.converged and r.distance == 0.0
+
+    def test_near_coincident_points(self, s3, heis):
+        # within hit_tol of the target the zero-length connection, p itself,
+        # certifies with miss |p - q|
+        p3 = np.array([1.0, 0, 0, 0])
+        q3 = np.array([1.0, 1e-6, 0, 0]) / math.hypot(1.0, 1e-6)
+        for model, p, q in ((heis, np.zeros(3), np.array([1e-4, 0, 0])), (s3, p3, q3)):
+            r = sr.cc_distance(model, p, q)
+            assert r.converged and r.distance == 0.0
+            assert r.miss == np.linalg.norm(p - q)
 
     def test_s3_antipodal(self, s3):
         p = np.array([1.0, 0, 0, 0])
