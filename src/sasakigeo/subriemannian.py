@@ -696,9 +696,8 @@ def _certify(model, state, t, q, step):
     n = max(16, int(round(t / (2.0 * step))))
     coarse, fine = integrate_geodesic(model, state, t, (n, 2 * n))
     end = fine.points[-1]
-    return float(np.linalg.norm(end - q)) + 16.0 / 15.0 * float(
-        np.linalg.norm(coarse.points[-1] - end)
-    )
+    gap = float(np.linalg.norm(coarse.points[-1] - end))
+    return float(np.linalg.norm(end - q)) + 16.0 / 15.0 * gap
 
 
 def _refine_candidate(model, chart, p, q, c, a0, t_seed, cfg, t_max):
