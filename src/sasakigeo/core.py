@@ -51,6 +51,10 @@ __all__ = [
 ]
 
 
+# Reeb kinetic weight of each mode: the flows are those of H_sub + weight a0^2 / 2
+_REEB_WEIGHTS = {"sub": 0.0, "riem": 1.0}
+
+
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     # the ufunc reduction np.sum reaches through its Python wrappers: same
     # result, half the per-call overhead on the small arrays of the flow
@@ -130,10 +134,6 @@ class SasakiModel(abc.ABC):
         """``R(X, Y, Z, W) = g(R(X, Y)Z, W)``."""
         return self.metric(x, self.curvature_op(x, X, Y, Z), W)
 
-    @abc.abstractmethod
-    def reeb_jacobian_T(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """``(d xi / dx)^T a`` -- the covector gradient of ``a . xi(x)``."""
-
     # -- musical isomorphisms and the cotangent flow -----------------------
     @abc.abstractmethod
     def flat(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -146,9 +146,13 @@ class SasakiModel(abc.ABC):
     def hamiltonian(self, x: np.ndarray, a: np.ndarray, mode: str = "sub") -> np.ndarray:
         """``mode='sub'``: H = (1/2) g^{-1}(a, a) - (1/2) a(xi)^2; ``'riem'`` keeps the full kinetic term."""
 
-    @abc.abstractmethod
     def hamiltonian_rhs(self, state: np.ndarray, mode: str = "sub") -> np.ndarray:
         """Hamilton's equations ``[dH/da | -dH/dx]`` at the state rows ``[x | a]``."""
+        return self._weighted_rhs(state, 1.0, _REEB_WEIGHTS[mode])
+
+    @abc.abstractmethod
+    def _weighted_rhs(self, state: np.ndarray, scale: float, reeb_weight: float) -> np.ndarray:
+        """Hamilton's equations of ``scale (H_sub + reeb_weight a0^2 / 2)`` at the state rows."""
 
     def project_state(self, state: np.ndarray) -> np.ndarray:
         """Per-step renormalisation of the state rows ``[x | a]`` (default: none)."""
@@ -162,6 +166,34 @@ class SasakiModel(abc.ABC):
     @abc.abstractmethod
     def reeb_flow(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Points ``x`` (..., d) moved along the Reeb field for times ``theta`` (...)."""
+
+    def flow_sq_distances(
+        self, x0: np.ndarray, a: np.ndarray, t: np.ndarray, q: np.ndarray, mode: str = "sub"
+    ) -> np.ndarray:
+        """Squared distances (..., K) from ``q`` of the exact flow in ``mode``.
+
+        The flow starts at the rows ``(x0, a)`` (..., d) and is sampled at the
+        times ``t`` (..., K) of each row.
+        """
+        return self._flow_sq_distances(x0, a, t, q, _REEB_WEIGHTS[mode])
+
+    def _flow_sq_distances(self, x0, a, t, q, reeb_weight):
+        """:meth:`flow_sq_distances` for ``H_sub + reeb_weight a0^2 / 2``, from the positions."""
+        diff = self._flow_points(x0, a, t, reeb_weight) - q
+        return _dot(diff, diff)
+
+    def _flow_points(self, x0, a, t, reeb_weight):
+        """Positions (..., K, d) of the exact flow of ``H_sub + reeb_weight a0^2 / 2``.
+
+        The Reeb momentum ``a0`` is conserved and the Reeb flow commutes with
+        the horizontal flow, so this is the sub flow followed by the Reeb flow
+        for time ``reeb_weight a0 t``.
+        """
+        t = np.asarray(t, dtype=float)
+        X = self.flow_positions(x0, a, t)
+        if reeb_weight:
+            X = self.reeb_flow(X, reeb_weight * self.alpha0(x0, a)[..., None] * t)
+        return X
 
     def closed_form_from_covector(
         self, x0: np.ndarray, alpha: np.ndarray, t: np.ndarray

@@ -17,7 +17,10 @@ Everything about the deformed model is closed form in the source evaluators:
   + D(X, D(Y,Z)) - D(Y, D(X,Z)), where the covariant derivative of D expands
   through ``(nabla_X phi)(Z) = eta(Z) X - g(X, Z) xi``.
 * Cotangent Hamiltonians:  the horizontal kinetic term scales by 1/s and the
-  Reeb kinetic term by 1/s^2, so both flows reuse the source closed forms.
+  Reeb kinetic term by 1/s^2, so the riem Hamiltonian is
+  ``mu (H_sub + mu a0^2 / 2)`` in source terms: the deformed field and flows
+  are the source's at scale ``mu`` with Reeb kinetic weight ``mu`` (0 in sub
+  mode), and reuse the source closed forms.
 
 Deforming twice composes exactly: ratios multiply, and ``apply`` flattens
 nested deformations so the equality is algebraic.
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SasakiModel, _dot, ricci, ricci_transverse
+from .core import SasakiModel, ricci, ricci_transverse
 
 __all__ = [
     "DHomotheticModel",
@@ -123,9 +126,6 @@ class DHomotheticModel(SasakiModel):
         R = R + self._delta(x, X, self._delta(x, Y, Z)) - self._delta(x, Y, self._delta(x, X, Z))
         return R
 
-    def reeb_jacobian_T(self, x, a):
-        return self.mu * self.source.reeb_jacobian_T(x, a)
-
     # -- musical isomorphisms ----------------------------------------------
     def flat(self, x, v):
         src = self.source
@@ -147,17 +147,9 @@ class DHomotheticModel(SasakiModel):
         a0 = src.alpha0(x, a)
         return h_horizontal / self.s + 0.5 * a0 * a0 / self.s**2
 
-    def hamiltonian_rhs(self, state, mode="sub"):
-        src = self.source
-        out = self.mu * src.hamiltonian_rhs(state, mode="sub")
-        if mode == "riem":
-            d = self.ambient_dim
-            x, a = state[..., :d], state[..., d:]
-            xi = src.reeb(x)
-            a0 = self.mu**2 * _dot(a, xi)[..., None]
-            out[..., :d] += a0 * xi
-            out[..., d:] -= a0 * src.reeb_jacobian_T(x, a)
-        return out
+    def _weighted_rhs(self, state, scale, reeb_weight):
+        # mu H_sub + weight a0_mu^2 / 2 = mu (H_sub + mu weight a0^2 / 2) in source terms
+        return self.source._weighted_rhs(state, self.mu * scale, self.mu * reeb_weight)
 
     def project_state(self, state):
         return self.source.project_state(state)
@@ -169,6 +161,11 @@ class DHomotheticModel(SasakiModel):
     def reeb_flow(self, x, theta):
         """The flow of ``xi_mu = mu xi``: the source's Reeb flow for time ``mu theta``."""
         return self.source.reeb_flow(x, self.mu * np.asarray(theta))
+
+    def _flow_sq_distances(self, x0, a, t, q, reeb_weight):
+        """The source's squared distances at times ``mu t`` and Reeb weight ``mu reeb_weight``."""
+        t = self.mu * np.asarray(t, dtype=float)
+        return self.source._flow_sq_distances(x0, a, t, q, self.mu * reeb_weight)
 
 
 def apply(model: SasakiModel, mu: float) -> SasakiModel:

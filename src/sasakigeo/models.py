@@ -25,6 +25,7 @@ Nilpotent group (Heisenberg) chart
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -41,28 +42,28 @@ __all__ = [
 ]
 
 
-def _field_map(mode: str) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _field_map(scale: float, reeb_weight: float) -> np.ndarray:
     """The 8x8 map from the sphere's Gram entries to the weights of its field.
 
     With ``W = (x, a, Jx, Ja)`` and ``G = (x, a) @ W^T``, the entries of
     ``G.reshape(8)`` are ``x.x, x.a, x.Jx, x.Ja, a.x, a.a, a.Jx, a.Ja`` and
     ``G.reshape(8) @ P`` holds the weights of ``W`` in ``dx`` and then in
-    ``da``:
+    ``da``.  The field of ``scale (H_sub + reeb_weight a0^2 / 2)``, with
+    ``a0 = aJx``, is ``scale`` times
 
-        dx = xx a - ax x - aJx Jx,      da = ax a - aa x - aJx Ja;
+        dx = xx a - ax x + (reeb_weight - 1) aJx Jx,
+        da = ax a - aa x + (reeb_weight - 1) aJx Ja:
 
-    riem mode drops the ``aJx`` terms.
+    sub mode (weight 0) keeps the ``aJx`` terms and riem mode (weight 1)
+    drops them.
     """
     xx, ax, aa, aJx = 0, 4, 5, 6
     P = np.zeros((8, 8))
     P[ax, 0], P[xx, 1] = -1.0, 1.0
     P[aa, 4], P[ax, 5] = -1.0, 1.0
-    if mode == "sub":
-        P[aJx, 2] = P[aJx, 7] = -1.0
-    return P
-
-
-_FIELD_MAPS = {mode: _field_map(mode) for mode in ("sub", "riem")}
+    P[aJx, 2] = P[aJx, 7] = reeb_weight - 1.0
+    return scale * P
 
 
 class SphereModel(SasakiModel):
@@ -125,9 +126,6 @@ class SphereModel(SasakiModel):
     def curvature_op(self, x, X, Y, Z):
         return _dot(Y, Z)[..., None] * X - _dot(X, Z)[..., None] * Y
 
-    def reeb_jacobian_T(self, x, a):
-        return -self._J(a)
-
     # -- cotangent flow ----------------------------------------------------
     def flat(self, x, v):
         return v
@@ -144,12 +142,13 @@ class SphereModel(SasakiModel):
             h = h - 0.5 * aJx * aJx
         return h
 
-    def hamiltonian_rhs(self, state, mode="sub"):
+    def _weighted_rhs(self, state, scale, reeb_weight):
         # linear in W = (x, a, Jx, Ja), with weights read off its Gram entries
         Y = state.reshape(state.shape[:-1] + (2, self.ambient_dim))
         W = np.concatenate((Y, Y @ self._JT), axis=-2)
         G = Y @ W.swapaxes(-1, -2)
-        C = (G.reshape(G.shape[:-2] + (8,)) @ _FIELD_MAPS[mode]).reshape(G.shape)
+        P = _field_map(scale, reeb_weight)
+        C = (G.reshape(G.shape[:-2] + (8,)) @ P).reshape(G.shape)
         return (C @ W).reshape(state.shape)
 
     def project_state(self, state):
@@ -161,23 +160,53 @@ class SphereModel(SasakiModel):
         return out
 
     # -- exact flow --------------------------------------------------------
+    def _flow_setup(self, x0, a):
+        """Per-row constants ``a0``, ``w`` (..., 1) and ``W`` (..., d) of the exact flow.
+
+        ``a0`` is the Reeb momentum of ``a``.  Its tangent part ``v = u + a0 J
+        x0``, with ``u`` the horizontal velocity, gives ``w = |v| = sqrt(|u|^2
+        + a0^2)`` and ``W = v / w``.
+        """
+        v = self.tangent_project(x0, a)
+        w = np.sqrt(_dot(v, v))[..., None]
+        return self.alpha0(x0, a)[..., None], w, v / w
+
     def flow_positions(self, x0, a, t):
         """Positions of the exact horizontal flow: e^{-a0 t J}(cos(w t) x0 + sin(w t) W).
 
         ``x0`` and ``a`` are (..., d) rows and ``t`` is (..., K) times per
-        row; the result is (..., K, d).  With ``u`` the horizontal velocity
-        of ``a`` and ``a0`` its Reeb momentum, ``w = sqrt(|u|^2 + a0^2)`` and
-        ``W = (u + a0 J x0)/w``.
+        row; the result is (..., K, d).  ``a0``, ``w`` and ``W`` are those of
+        :meth:`_flow_setup`.
         """
         x0 = np.asarray(x0, dtype=float)
         t = np.asarray(t, dtype=float)
-        a0 = self.alpha0(x0, a)[..., None]
-        u = self.velocity(x0, a, mode="sub")
-        w = np.sqrt(_dot(u, u)[..., None] + a0 * a0)
-        W = (u + a0 * self._J(x0)) / w
+        a0, w, W = self._flow_setup(x0, a)
         wt = w * t
         c = np.cos(wt)[..., None] * x0[..., None, :] + np.sin(wt)[..., None] * W[..., None, :]
         return self.reeb_flow(c, -a0 * t)
+
+    def _flow_sq_distances(self, x0, a, t, q, reeb_weight):
+        """Squared distances from ``q`` in closed form, without the positions.
+
+        The flow of ``H_sub + reeb_weight a0^2 / 2`` is
+        ``e^{theta J}(cos(w t) x0 + sin(w t) W)`` with ``theta = (reeb_weight
+        - 1) a0 t``: the sub flow's rotation, then the Reeb flow.  As ``J`` is
+        skew, ``<e^{theta J} y, q> = cos(theta) <y, q> - sin(theta) <y, J q>``,
+        so each row needs the four projections of ``x0`` and ``W`` on ``q``
+        and ``J q``, and each sample the cosines and sines of ``w t`` and
+        ``theta``.  The flow keeps ``|x| = |x0|``.
+        """
+        x0 = np.asarray(x0, dtype=float)
+        t = np.asarray(t, dtype=float)
+        a0, w, W = self._flow_setup(x0, a)
+        Jq = self._J(q)
+        xq, xJq = _dot(x0, q)[..., None], _dot(x0, Jq)[..., None]
+        Wq, WJq = _dot(W, q)[..., None], _dot(W, Jq)[..., None]
+        wt = w * t
+        c, s = np.cos(wt), np.sin(wt)
+        theta = ((reeb_weight - 1.0) * a0) * t
+        inner = np.cos(theta) * (c * xq + s * Wq) - np.sin(theta) * (c * xJq + s * WJq)
+        return (_dot(x0, x0) + _dot(q, q))[..., None] - 2.0 * inner
 
     def reeb_flow(self, x, theta):
         """``e^{theta J} x``: each coordinate pair rotated by ``theta``."""
@@ -276,9 +305,6 @@ class HeisenbergModel(SasakiModel):
             out[j] = out[j] - k * w_xy * cZ[i]
         return self._from_frame_coeffs(x, out[0], out[1], out[2])
 
-    def reeb_jacobian_T(self, x, a):
-        return np.zeros(np.broadcast(x, a).shape)
-
     # -- cotangent flow ----------------------------------------------------
     def flat(self, x, v):
         y = x[..., 1]
@@ -302,15 +328,18 @@ class HeisenbergModel(SasakiModel):
             h = h + 0.125 * a[..., 2] * a[..., 2]
         return h
 
-    def hamiltonian_rhs(self, state, mode="sub"):
+    def _weighted_rhs(self, state, scale, reeb_weight):
+        # a0 = a_z / 2, so the Reeb kinetic term reeb_weight a_z^2 / 8 moves z
         y, az = state[..., 1], state[..., 5]
         w = state[..., 3] + y * az
         out = np.zeros(state.shape)
         out[..., 0] = w
         out[..., 1] = state[..., 4]
-        out[..., 2] = y * w if mode == "sub" else y * w + 0.25 * az
+        out[..., 2] = y * w
+        if reeb_weight:
+            out[..., 2] += (0.25 * reeb_weight) * az
         out[..., 4] = -w * az
-        return out
+        return out if scale == 1.0 else scale * out
 
     @property
     def tau(self) -> float:

@@ -9,9 +9,12 @@ satisfying  ``nabla_v v + 2 a0 phi(v) = 0``  with ``a0 = a(xi)`` constant.
 Integration is fixed-step RK4 on state rows ``[x | a]`` (point and covector
 side by side, one array) with per-step state projection, over a leading axis
 of rows that share each step's model calls.  The searches run
-batched over rows of initial covectors through one flow evaluator, the
-model's exact flow in both modes: the sub flow (``flow_positions``), followed
-in riem mode by the Reeb flow (``reeb_flow``) for time ``a0 t``.
+batched over rows of initial covectors through the model's exact flow in
+both modes: the sub flow (``flow_positions``), followed in riem mode by the
+Reeb flow (``reeb_flow``) for time ``a0 t``.  The sampled closest approaches
+ask the model for squared distances to the target
+(``flow_sq_distances``), which the spheres and their deformations give in
+closed form without positions; Newton takes the endpoints themselves.
 Certification always integrates the connecting geodesic by RK4 to the flight
 time the search found, with step doubling run as one two-row integration:
 the reported ``miss`` is the fine endpoint's distance to the target plus the
@@ -45,7 +48,7 @@ from itertools import repeat
 import numpy as np
 from scipy.stats import qmc
 
-from .core import SasakiModel, _dot
+from .core import _REEB_WEIGHTS, SasakiModel, _dot
 from .numdiff import path_derivative
 
 __all__ = [
@@ -431,16 +434,8 @@ _FLOW_BLOCK = 1 << 14
 
 
 def _flow_positions(model, x0, a, t, mode):
-    """Exact positions (rows, K, d) of the rows ``(x0, a)`` at the times ``t`` (rows, K).
-
-    The Reeb momentum ``a0`` is conserved and the Reeb flow commutes with the
-    horizontal flow, so the riem flow is the sub flow followed by the Reeb
-    flow for time ``a0 t``.
-    """
-    X = model.flow_positions(x0, a, t)
-    if mode == "riem":
-        X = model.reeb_flow(X, model.alpha0(x0, a)[:, None] * t)
-    return X
+    """Exact positions (rows, K, d) of the rows ``(x0, a)`` at the times ``t`` (rows, K)."""
+    return model._flow_points(x0, a, t, _REEB_WEIGHTS[mode])
 
 
 def _closest_sample(d2, h):
@@ -473,15 +468,15 @@ def _closest_sample(d2, h):
 def _batched_closest_approach(model, x0, a0cov, T, n_steps, target, mode):
     """Closest approach to ``target`` along each row's trajectory.
 
-    Rows are sampled every ``T_i / n_steps``, a block of times at a time.
+    Rows are sampled every ``T_i / n_steps``, a block of times at a time,
+    and the model gives the squared distances to ``target`` directly.
     """
     T = np.asarray(T, dtype=float)
     d2 = np.empty((n_steps + 1, x0.shape[0]))
     width = max(1, _FLOW_BLOCK // (x0.shape[0] * x0.shape[-1]))
     for k in range(0, n_steps + 1, width):
         frac = np.arange(k, min(k + width, n_steps + 1)) / n_steps
-        diff = _flow_positions(model, x0, a0cov, T[:, None] * frac, mode) - target
-        d2[k:k + frac.size] = _dot(diff, diff).T
+        d2[k:k + frac.size] = model.flow_sq_distances(x0, a0cov, T[:, None] * frac, target, mode).T
     return _closest_sample(d2, T / n_steps)
 
 
@@ -729,8 +724,12 @@ def _refine_candidate(model, chart, p, q, c, a0, t_seed, cfg, t_max):
         cov = chart(cs, a0s)
         return _flow_positions(model, np.broadcast_to(p, cov.shape), cov, ts[:, None], mode)[:, 0]
 
+    # riem momenta stay on the unit sphere; sub momenta within alpha0_cap,
+    # since near p Newton's a0 column shrinks with t and its steps blow up
+    cap = 1.0 if mode == "riem" else cfg.alpha0_cap
+
     def clamp_a0(v):
-        return np.clip(v, -1.0, 1.0) if mode == "riem" else v
+        return np.clip(v, -cap, cap)
 
     c = _unit(c)
     miss, t_at = evaluate(c[None], [a0])

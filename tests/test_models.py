@@ -219,6 +219,36 @@ class TestReebFlow:
         assert np.max(np.abs(model.reeb_flow(x, theta) - y)) < 1e-12
 
 
+class TestFlowSqDistances:
+    @pytest.mark.parametrize("key", ["s3", "s5", "s3-dhom:2.0", "s5-dhom:1.7", "heisenberg"])
+    @pytest.mark.parametrize("mode", ["sub", "riem"])
+    def test_matches_the_materialised_positions(self, key, mode):
+        # the spheres' closed form, the deformed spheres' delegation to it and
+        # Heisenberg's default route against |flow_positions (+ Reeb flow) -
+        # q|^2; rows at a0 = 0, 1e-3 and +-1 (the poles in riem mode), each on
+        # its own time grid, and a target on row 1's path, where distances reach 0
+        model = _sphere_or_deformed(key)
+        rng = np.random.default_rng(12)
+        a0 = np.array([0.0, 1e-3, -1.0, 1.0, 0.6, -0.95])
+        if mode == "sub":
+            a0[4:] = [2.7, -3.5]
+        x = model.random_points(rng, a0.size)
+        c = rng.standard_normal((a0.size, 2 * model.n))
+        c /= np.linalg.norm(c, axis=1, keepdims=True)
+        cov = np.concatenate(
+            [sr._frame_chart(model, x[i], mode)(c[i:i + 1], a0[i:i + 1]) for i in range(a0.size)]
+        )
+        t = np.linspace(1.0, 4.0, a0.size)[:, None] * np.linspace(0.0, 1.0, 41)[None, :]
+        X = model.flow_positions(x, cov, t)
+        if mode == "riem":
+            X = model.reeb_flow(X, model.alpha0(x, cov)[:, None] * t)
+        for q in (model.random_points(rng, 1)[0], X[1, 17]):
+            want = np.sum((X - q) ** 2, axis=-1)
+            got = model.flow_sq_distances(x, cov, t, q, mode)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
 class TestCovectorAlgebra:
     @pytest.mark.parametrize("key", ["s3", "s5", "heisenberg"])
     def test_covector_roundtrip(self, key):
@@ -308,7 +338,10 @@ def _elementwise_sphere_field(x, a, mode):
 
 
 def _oracle_field(key, x, a, mode):
-    """The elementwise field of s3, s5 or ``s5-dhom:mu`` (mu times the sub field plus mu^2 a0 Reeb terms)."""
+    """The elementwise field of s3, s5 or ``s<k>-dhom:mu``.
+
+    A deformed field is mu times the sub field plus the mu^2 a0 Reeb terms.
+    """
     if key in ("s3", "s5"):
         return _elementwise_sphere_field(x, a, mode)
     mu = float(key.split(":")[1])
@@ -329,7 +362,7 @@ def _sphere_or_deformed(key):
 
 
 class TestGramField:
-    @pytest.mark.parametrize("key", ["s3", "s5", "s5-dhom:1.7"])
+    @pytest.mark.parametrize("key", ["s3", "s5", "s5-dhom:1.7", "s3-dhom:2.0"])
     @pytest.mark.parametrize("mode", ["sub", "riem"])
     @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
     def test_matches_elementwise_field_off_the_manifold(self, key, mode, lead):

@@ -208,6 +208,8 @@ class OffsetFlowHeisenberg(models.HeisenbergModel):
 
 
 class CountingSphere(models.SphereModel):
+    """Counts the calls of both exact-flow entry points: positions and squared distances."""
+
     def __init__(self, n):
         super().__init__(n)
         self.flow_calls = 0
@@ -216,30 +218,41 @@ class CountingSphere(models.SphereModel):
         self.flow_calls += 1
         return super().flow_positions(x0, a, t)
 
+    def _flow_sq_distances(self, x0, a, t, q, reeb_weight):
+        self.flow_calls += 1
+        return super()._flow_sq_distances(x0, a, t, q, reeb_weight)
+
 
 class TestFlowEvaluator:
-    @pytest.mark.parametrize("mode", ["sub", "riem"])
-    def test_closest_approach_same_on_both_routes(self, s3, mode, monkeypatch):
-        # blocks of 5 samples (12 rows x 4 coordinates each), the last one short
-        monkeypatch.setattr(sr, "_FLOW_BLOCK", 5 * 12 * 4)
+    @pytest.mark.parametrize(
+        "key, mode",
+        [pytest.param("s3", m, id=m) for m in ("sub", "riem")]
+        + [pytest.param(k, m, id=f"{k}-{m}")
+           for k in ("s5", "s3-dhom:2.0") for m in ("sub", "riem")],
+    )
+    def test_closest_approach_same_on_both_routes(self, key, mode, monkeypatch):
+        # blocks of 5 samples (12 rows x d coordinates each), the last one short
+        model = models.get_model(key)
+        d = model.ambient_dim
+        monkeypatch.setattr(sr, "_FLOW_BLOCK", 5 * 12 * d)
         rng = np.random.default_rng(6)
-        p, q = s3.random_points(rng, 2)
-        c = rng.standard_normal((12, 2))
+        p, q = model.random_points(rng, 2)
+        c = rng.standard_normal((12, 2 * model.n))
         c /= np.linalg.norm(c, axis=1, keepdims=True)
         a0 = np.linspace(-1.0, 1.0, 12)  # riem rows 0 and 11 are the poles
-        X0 = np.broadcast_to(p, (12, 4))
-        cov = sr._frame_chart(s3, p, mode)(c, a0)
+        X0 = np.broadcast_to(p, (12, d))
+        cov = sr._frame_chart(model, p, mode)(c, a0)
         T = np.linspace(1.5, 3.0, 12)
-        miss, t_at = sr._batched_closest_approach(s3, X0, cov, T, 300, q, mode)
+        miss, t_at = sr._batched_closest_approach(model, X0, cov, T, 300, q, mode)
         # reference: every row's trajectory sampled on its own grid, from the
         # per-row closed form (sub) or a 3000-step RK4 (riem)
         if mode == "sub":
             t = T[:, None] * np.linspace(0.0, 1.0, 301)[None, :]
-            pts = np.stack([s3.closed_form_from_covector(p, cov[i], t[i]) for i in range(12)])
+            pts = np.stack([model.closed_form_from_covector(p, cov[i], t[i]) for i in range(12)])
         else:
             pts = np.stack([
                 sr.integrate_geodesic(
-                    s3, sr.CotangentState.make(s3, p, cov[i], mode), T[i], 3000
+                    model, sr.CotangentState.make(model, p, cov[i], mode), T[i], 3000
                 ).points[::10]
                 for i in range(12)
             ])
@@ -269,6 +282,8 @@ class TestFlowEvaluator:
                     assert np.linalg.norm(path.points[-1] - q) <= cfg.hit_tol + 1e-6
 
     def test_both_modes_use_exact_flow(self):
+        # the scan and compass walk take squared distances and Newton takes
+        # positions; ten rounds leave Newton none, so both entry points count
         p, q = np.array([1.0, 0, 0, 0]), np.array([0.0, 1, 0, 0])
         quick = dict(
             seed=1, n_directions=8, n_alpha0=5, widen_rounds=0, confirm_rounds=0,
@@ -464,6 +479,19 @@ class TestDistanceOracles:
             r = sr.cc_distance(model, p, q)
             assert r.converged and r.distance == 0.0
             assert r.miss == np.linalg.norm(p - q)
+
+    def test_nearby_generic_pair(self, s3):
+        # Newton's a0 column shrinks with the flight time near p; unclamped,
+        # its steps drove a0 to about -979, where the two Hamiltonian routes
+        # of CotangentState.make disagree and the search raised
+        rng = np.random.default_rng(2)
+        p = s3.random_points(rng, 1)[0]
+        q = p + 1e-6 * rng.standard_normal(4)
+        q /= np.linalg.norm(q)
+        cfg = sr.ShootingConfig()
+        r = sr.cc_distance(s3, p, q, cfg)
+        assert r.converged and r.miss <= cfg.hit_tol
+        assert abs(r.alpha0) <= cfg.alpha0_cap
 
     def test_s3_antipodal(self, s3):
         p = np.array([1.0, 0, 0, 0])
