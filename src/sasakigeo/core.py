@@ -148,11 +148,11 @@ class SasakiModel(abc.ABC):
 
     def hamiltonian_rhs(self, state: np.ndarray, mode: str = "sub") -> np.ndarray:
         """Hamilton's equations ``[dH/da | -dH/dx]`` at the state rows ``[x | a]``."""
-        return self._weighted_rhs(state, 1.0, _REEB_WEIGHTS[mode])
+        return self._weighted_rhs(state, _REEB_WEIGHTS[mode])
 
     @abc.abstractmethod
-    def _weighted_rhs(self, state: np.ndarray, scale: float, reeb_weight: float) -> np.ndarray:
-        """Hamilton's equations of ``scale (H_sub + reeb_weight a0^2 / 2)`` at the state rows."""
+    def _weighted_rhs(self, state: np.ndarray, reeb_weight: float) -> np.ndarray:
+        """Hamilton's equations of ``H_sub + reeb_weight a0^2 / 2`` at the state rows."""
 
     def project_state(self, state: np.ndarray) -> np.ndarray:
         """Per-step renormalisation of the state rows ``[x | a]`` (default: none)."""
@@ -167,14 +167,20 @@ class SasakiModel(abc.ABC):
     def reeb_flow(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Points ``x`` (..., d) moved along the Reeb field for times ``theta`` (...)."""
 
-    def flow_sq_distances(
-        self, x0: np.ndarray, a: np.ndarray, t: np.ndarray, q: np.ndarray, mode: str = "sub"
+    def flow_points(
+        self, x0: np.ndarray, a: np.ndarray, t: np.ndarray, mode: str = "sub"
     ) -> np.ndarray:
-        """Squared distances (..., K) from ``q`` of the exact flow in ``mode``.
+        """Positions (..., K, d) of the exact flow in ``mode``.
 
         The flow starts at the rows ``(x0, a)`` (..., d) and is sampled at the
         times ``t`` (..., K) of each row.
         """
+        return self._flow_points(x0, a, t, _REEB_WEIGHTS[mode])
+
+    def flow_sq_distances(
+        self, x0: np.ndarray, a: np.ndarray, t: np.ndarray, q: np.ndarray, mode: str = "sub"
+    ) -> np.ndarray:
+        """Squared distances (..., K) from ``q`` of :meth:`flow_points`."""
         return self._flow_sq_distances(x0, a, t, q, _REEB_WEIGHTS[mode])
 
     def _flow_sq_distances(self, x0, a, t, q, reeb_weight):

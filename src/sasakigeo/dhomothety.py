@@ -18,9 +18,10 @@ Everything about the deformed model is closed form in the source evaluators:
   through ``(nabla_X phi)(Z) = eta(Z) X - g(X, Z) xi``.
 * Cotangent Hamiltonians:  the horizontal kinetic term scales by 1/s and the
   Reeb kinetic term by 1/s^2, so the riem Hamiltonian is
-  ``mu (H_sub + mu a0^2 / 2)`` in source terms: the deformed field and flows
-  are the source's at scale ``mu`` with Reeb kinetic weight ``mu`` (0 in sub
-  mode), and reuse the source closed forms.
+  ``mu (H_sub + mu a0^2 / 2)`` in source terms: the deformed field is ``mu``
+  times the source's with Reeb kinetic weight ``mu`` (0 in sub mode), and the
+  flows are the source's at time ``mu t`` with that weight, so they reuse the
+  source closed forms.
 
 Deforming twice composes exactly: ratios multiply, and ``apply`` flattens
 nested deformations so the equality is algebraic.
@@ -147,9 +148,9 @@ class DHomotheticModel(SasakiModel):
         a0 = src.alpha0(x, a)
         return h_horizontal / self.s + 0.5 * a0 * a0 / self.s**2
 
-    def _weighted_rhs(self, state, scale, reeb_weight):
+    def _weighted_rhs(self, state, reeb_weight):
         # mu H_sub + weight a0_mu^2 / 2 = mu (H_sub + mu weight a0^2 / 2) in source terms
-        return self.source._weighted_rhs(state, self.mu * scale, self.mu * reeb_weight)
+        return self.mu * self.source._weighted_rhs(state, self.mu * reeb_weight)
 
     def project_state(self, state):
         return self.source.project_state(state)

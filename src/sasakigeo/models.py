@@ -43,27 +43,28 @@ __all__ = [
 
 
 @functools.lru_cache(maxsize=None)
-def _field_map(scale: float, reeb_weight: float) -> np.ndarray:
+def _field_map(reeb_weight: float) -> np.ndarray:
     """The 8x8 map from the sphere's Gram entries to the weights of its field.
 
     With ``W = (x, a, Jx, Ja)`` and ``G = (x, a) @ W^T``, the entries of
     ``G.reshape(8)`` are ``x.x, x.a, x.Jx, x.Ja, a.x, a.a, a.Jx, a.Ja`` and
     ``G.reshape(8) @ P`` holds the weights of ``W`` in ``dx`` and then in
-    ``da``.  The field of ``scale (H_sub + reeb_weight a0^2 / 2)``, with
-    ``a0 = aJx``, is ``scale`` times
+    ``da``.  The field of ``H_sub + reeb_weight a0^2 / 2``, with
+    ``a0 = aJx``, is
 
         dx = xx a - ax x + (reeb_weight - 1) aJx Jx,
         da = ax a - aa x + (reeb_weight - 1) aJx Ja:
 
     sub mode (weight 0) keeps the ``aJx`` terms and riem mode (weight 1)
-    drops them.
+    drops them.  The map is cached, so it is read-only.
     """
     xx, ax, aa, aJx = 0, 4, 5, 6
     P = np.zeros((8, 8))
     P[ax, 0], P[xx, 1] = -1.0, 1.0
     P[aa, 4], P[ax, 5] = -1.0, 1.0
     P[aJx, 2] = P[aJx, 7] = reeb_weight - 1.0
-    return scale * P
+    P.flags.writeable = False
+    return P
 
 
 class SphereModel(SasakiModel):
@@ -142,13 +143,12 @@ class SphereModel(SasakiModel):
             h = h - 0.5 * aJx * aJx
         return h
 
-    def _weighted_rhs(self, state, scale, reeb_weight):
+    def _weighted_rhs(self, state, reeb_weight):
         # linear in W = (x, a, Jx, Ja), with weights read off its Gram entries
         Y = state.reshape(state.shape[:-1] + (2, self.ambient_dim))
         W = np.concatenate((Y, Y @ self._JT), axis=-2)
         G = Y @ W.swapaxes(-1, -2)
-        P = _field_map(scale, reeb_weight)
-        C = (G.reshape(G.shape[:-2] + (8,)) @ P).reshape(G.shape)
+        C = (G.reshape(G.shape[:-2] + (8,)) @ _field_map(reeb_weight)).reshape(G.shape)
         return (C @ W).reshape(state.shape)
 
     def project_state(self, state):
@@ -328,7 +328,7 @@ class HeisenbergModel(SasakiModel):
             h = h + 0.125 * a[..., 2] * a[..., 2]
         return h
 
-    def _weighted_rhs(self, state, scale, reeb_weight):
+    def _weighted_rhs(self, state, reeb_weight):
         # a0 = a_z / 2, so the Reeb kinetic term reeb_weight a_z^2 / 8 moves z
         y, az = state[..., 1], state[..., 5]
         w = state[..., 3] + y * az
@@ -339,7 +339,7 @@ class HeisenbergModel(SasakiModel):
         if reeb_weight:
             out[..., 2] += (0.25 * reeb_weight) * az
         out[..., 4] = -w * az
-        return out if scale == 1.0 else scale * out
+        return out
 
     @property
     def tau(self) -> float:

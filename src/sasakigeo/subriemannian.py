@@ -10,11 +10,11 @@ Integration is fixed-step RK4 on state rows ``[x | a]`` (point and covector
 side by side, one array) with per-step state projection, over a leading axis
 of rows that share each step's model calls.  The searches run
 batched over rows of initial covectors through the model's exact flow in
-both modes: the sub flow (``flow_positions``), followed in riem mode by the
-Reeb flow (``reeb_flow``) for time ``a0 t``.  The sampled closest approaches
-ask the model for squared distances to the target
-(``flow_sq_distances``), which the spheres and their deformations give in
-closed form without positions; Newton takes the endpoints themselves.
+both modes: the sub flow, followed in riem mode by the Reeb flow for time
+``a0 t``.  The sampled closest approaches ask the model for squared
+distances to the target (``flow_sq_distances``), which the spheres and their
+deformations give in closed form without positions; Newton takes the
+endpoints themselves (``flow_points``).
 Certification always integrates the connecting geodesic by RK4 to the flight
 time the search found, with step doubling run as one two-row integration:
 the reported ``miss`` is the fine endpoint's distance to the target plus the
@@ -48,7 +48,7 @@ from itertools import repeat
 import numpy as np
 from scipy.stats import qmc
 
-from .core import _REEB_WEIGHTS, SasakiModel, _dot
+from .core import SasakiModel, _dot
 from .numdiff import path_derivative
 
 __all__ = [
@@ -433,11 +433,6 @@ class ShootingResult:
 _FLOW_BLOCK = 1 << 14
 
 
-def _flow_positions(model, x0, a, t, mode):
-    """Exact positions (rows, K, d) of the rows ``(x0, a)`` at the times ``t`` (rows, K)."""
-    return model._flow_points(x0, a, t, _REEB_WEIGHTS[mode])
-
-
 def _closest_sample(d2, h):
     """Closest approach from squared distances ``d2[k, i]`` sampled every ``h[i]``.
 
@@ -722,7 +717,7 @@ def _refine_candidate(model, chart, p, q, c, a0, t_seed, cfg, t_max):
 
     def endpoints(cs, a0s, ts):
         cov = chart(cs, a0s)
-        return _flow_positions(model, np.broadcast_to(p, cov.shape), cov, ts[:, None], mode)[:, 0]
+        return model.flow_points(np.broadcast_to(p, cov.shape), cov, ts[:, None], mode)[:, 0]
 
     # riem momenta stay on the unit sphere; sub momenta within alpha0_cap,
     # since near p Newton's a0 column shrinks with t and its steps blow up

@@ -186,7 +186,7 @@ class TestClosedFormFlow:
         )
         steps = 4000
         t = T[:, None] * np.linspace(0.0, 1.0, steps + 1)[None, :]
-        batched = sr._flow_positions(model, x, cov, t, mode)
+        batched = model.flow_points(x, cov, t, mode)
         assert batched.shape == (a0.size, steps + 1, model.ambient_dim)
         exact = getattr(model, "source", model)
         scale = getattr(model, "mu", 1.0)

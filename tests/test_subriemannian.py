@@ -387,8 +387,8 @@ class TestCertificate:
         r = sr.cc_distance(model, p, q, sr.ShootingConfig(seed=seed, mode=mode))
         assert r.converged
         init = r.best_init
-        x_f = sr._flow_positions(
-            model, init.point[None], init.covector[None], np.array([[r.distance]]), mode
+        x_f = model.flow_points(
+            init.point[None], init.covector[None], np.array([[r.distance]]), mode
         )[0, 0]
         assert r.miss >= np.linalg.norm(x_f - q) - 1e-12
 
@@ -404,8 +404,8 @@ class TestCertificate:
         r = sr.cc_distance(model, p, q, sr.ShootingConfig(seed=21, mode=mode))
         assert r.converged
         init = r.best_init
-        x = sr._flow_positions(
-            model, init.point[None], init.covector[None], np.array([[r.distance]]), mode
+        x = model.flow_points(
+            init.point[None], init.covector[None], np.array([[r.distance]]), mode
         )[0, 0]
         assert np.linalg.norm(x - q) <= 1e-12
 
@@ -480,18 +480,36 @@ class TestDistanceOracles:
             assert r.converged and r.distance == 0.0
             assert r.miss == np.linalg.norm(p - q)
 
-    def test_nearby_generic_pair(self, s3):
-        # Newton's a0 column shrinks with the flight time near p; unclamped,
-        # its steps drove a0 to about -979, where the two Hamiltonian routes
-        # of CotangentState.make disagree and the search raised
+    @staticmethod
+    def _nearby_pair(s3):
         rng = np.random.default_rng(2)
         p = s3.random_points(rng, 1)[0]
         q = p + 1e-6 * rng.standard_normal(4)
-        q /= np.linalg.norm(q)
+        return p, q / np.linalg.norm(q)
+
+    def test_nearby_generic_pair(self, s3):
+        # Newton's a0 column shrinks with the flight time near p; unclamped,
+        # its steps drove a0 to about -979, where the two Hamiltonian routes
+        # of CotangentState.make disagree and the search raised.  This pins
+        # only that the search returns within hit_tol and the cap, not the
+        # length: see test_nearby_generic_pair_length
+        p, q = self._nearby_pair(s3)
         cfg = sr.ShootingConfig()
         r = sr.cc_distance(s3, p, q, cfg)
         assert r.converged and r.miss <= cfg.hit_tol
         assert abs(r.alpha0) <= cfg.alpha0_cap
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a miss within hit_tol across the Reeb direction costs up to "
+        "sqrt(4 pi miss) of length: the pair reports 2.15e-6 against the exact 3.24e-4",
+    )
+    def test_nearby_generic_pair_length(self, s3):
+        from test_oracles import sphere_distance
+
+        p, q = self._nearby_pair(s3)
+        r = sr.cc_distance(s3, p, q)
+        assert r.distance == pytest.approx(sphere_distance(p, q), rel=1e-6)
 
     def test_s3_antipodal(self, s3):
         p = np.array([1.0, 0, 0, 0])
