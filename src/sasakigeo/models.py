@@ -67,6 +67,23 @@ def _field_map(reeb_weight: float) -> np.ndarray:
     return P
 
 
+# Below |h| = _SERIES_CUT, sinc h and G = (1 - sinc 2h) / (2h) of the Heisenberg
+# arc come from eight Taylor terms, which reach round-off there:
+# sinc h = sum_k (-1)^k h^2k / (2k+1)!  and  G = 2h sum_k (-1)^k (2h)^2k / (2k+3)!.
+# Above it, 1 - sinc 2h loses about eps / |h| to cancellation.
+_SERIES_CUT = 0.5
+_SINC_SERIES = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(8))
+_G_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(8))
+
+
+def _series(coeffs, x):
+    """``sum_k coeffs[k] x^k`` by Horner's rule."""
+    out = np.full_like(x, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out = out * x + c
+    return out
+
+
 class SphereModel(SasakiModel):
     """Round Sasakian sphere S^{2n+1} in R^{2n+2}."""
 
@@ -346,53 +363,60 @@ class HeisenbergModel(SasakiModel):
         """Transversally flat: no positive lower bound on Ric^T."""
         return 0.0
 
-    def flow_positions(self, x0, a, t):
-        """Positions of the exact horizontal flow, (..., K, 3) for (..., K) times per row.
+    def _flow_offsets(self, x0, a, t):
+        """Offsets ``(X, Y, Z)`` from ``x0`` of the exact horizontal flow, each (..., K).
 
         The chart momenta a_x and a_z are conserved, and the pair
-        (w, a_y) = (a_x + y a_z, a_y) rotates with angular rate a_z, so the
-        planar projection traces a circular arc and z integrates in closed
-        form via int y dx.  The naive arc formulas subtract two O(1/a_z)
-        quantities and lose precision like 1/a_z^2 as the arc straightens, so
-        everything is evaluated in product/sinc-difference form, which is
-        uniform in the turning rate (the straight line is the a_z = 0 value,
-        not a separate branch); the two removable singularities get short
-        series below |a_z t| = 0.01.
+        ``(w, a_y) = (a_x + y a_z, a_y)`` rotates with angular rate ``a_z``, so
+        the planar projection is a circular arc: with ``h = a_z t / 2``,
+        ``X + i Y = t sinc(h) e^{-ih} (w0 + i a_y)``.  Along horizontal curves
+        ``dz = y dx``, so ``Z = y0 X + X Y / 2 + (rho t)^2 G / 2`` with
+        ``rho^2 = w0^2 + a_y^2`` and ``G = (1 - sinc 2h) / (2h)``: the last term
+        is the signed area between the arc and its chord (Agrachev-Barilari-
+        Boscain, Heisenberg chapter).  Both ``sinc h`` and ``G`` come from one
+        cosine and sine of ``h``, with short series below ``|h| < _SERIES_CUT``,
+        where ``G`` would cancel; the straight line is the ``a_z = 0`` value.
         """
         t = np.asarray(t, dtype=float)
         x0 = np.asarray(x0, dtype=float)
         a = np.asarray(a, dtype=float)
-        px, py, pz = (x0[..., i, None] for i in range(3))
-        ax, ay, az = (a[..., i, None] for i in range(3))
-        w0 = ax + py * az
-        rho = np.hypot(w0, ay)
-        th0 = np.arctan2(ay, w0)
+        ay, az = a[..., 1, None], a[..., 2, None]
+        w0 = a[..., 0, None] + x0[..., 1, None] * az
+        h = (0.5 * az) * t
+        c, s = np.cos(h), np.sin(h)
+        small = np.abs(h) < _SERIES_CUT
+        guarded = np.where(small, 1.0, h)
+        sinc = s / guarded
+        G = (1.0 - sinc * c) / (2.0 * guarded)
+        if small.any():
+            h2 = h[small] ** 2
+            sinc[small] = _series(_SINC_SERIES, h2)
+            G[small] = (2.0 * h[small]) * _series(_G_SERIES, 4.0 * h2)
+        ts = t * sinc
+        X = ts * (w0 * c + ay * s)
+        Y = ts * (ay * c - w0 * s)
+        Z = x0[..., 1, None] * X + 0.5 * X * Y + (0.5 * (w0 * w0 + ay * ay)) * (t * t) * G
+        return X, Y, Z
 
-        def sinc(y):  # sin(y)/y without the numpy pi-normalization
-            return np.sinc(y / np.pi)
+    def flow_positions(self, x0, a, t):
+        """Positions of the exact horizontal flow, (..., K, 3) for (..., K) times per row."""
+        x0 = np.asarray(x0, dtype=float)
+        return x0[..., None, :] + np.stack(self._flow_offsets(x0, a, t), axis=-1)
 
-        arc = az * t
-        half = 0.5 * arc
-        s_half = sinc(half)
-        xs = px + rho * t * np.cos(th0 - half) * s_half
-        ys = py + rho * t * np.sin(th0 - half) * s_half
+    def _flow_sq_distances(self, x0, a, t, q, reeb_weight):
+        """Squared distances from ``q`` of the offsets, without the positions.
 
-        # z - pz = py (x - px) + (rho^2 t^2 / 2) (D + G) with
-        #   D = [F(arc) - F(arc/2)] / arc,   F(s) = cos(2 th0 - s) sinc(s),
-        #   G = [1 - sinc(arc)] / arc
-        small = np.abs(arc) < 1e-2
-        guarded = np.where(small, 1.0, arc)
-        c2, s2 = np.cos(2.0 * th0), np.sin(2.0 * th0)
-        d_exact = (np.cos(2.0 * th0 - arc) * sinc(arc) - np.cos(2.0 * th0 - half) * s_half)
-        g_exact = (1.0 - sinc(arc)) / guarded
-        a2 = arc * arc
-        d_series = s2 * (0.5 - (7.0 / 24.0) * a2 + (31.0 / 720.0) * a2 * a2)
-        d_series += c2 * arc * (-0.5 + a2 / 8.0 - a2 * a2 / 80.0)
-        g_series = arc * (1.0 / 6.0 - a2 / 120.0 + a2 * a2 / 5040.0)
-        d = np.where(small, d_series, d_exact / guarded)
-        g = np.where(small, g_series, g_exact)
-        zs = pz + py * (xs - px) + 0.5 * rho * rho * t * t * (d + g)
-        return np.stack([xs, ys, zs], axis=-1)
+        The Reeb flow for time ``reeb_weight a0 t``, with ``a0 = a_z / 2``,
+        moves ``z`` by ``reeb_weight a_z t / 4``.
+        """
+        x0 = np.asarray(x0, dtype=float)
+        t = np.asarray(t, dtype=float)
+        X, Y, Z = self._flow_offsets(x0, a, t)
+        d = x0 - q
+        Z = Z + d[..., 2, None]
+        if reeb_weight:
+            Z = Z + (0.25 * reeb_weight) * np.asarray(a, dtype=float)[..., 2, None] * t
+        return (X + d[..., 0, None]) ** 2 + (Y + d[..., 1, None]) ** 2 + Z * Z
 
     def reeb_flow(self, x, theta):
         """The Reeb field (0, 0, 1/2) flows for time ``theta``: z moves by theta/2."""

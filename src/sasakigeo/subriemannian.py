@@ -12,9 +12,10 @@ of rows that share each step's model calls.  The searches run
 batched over rows of initial covectors through the model's exact flow in
 both modes: the sub flow, followed in riem mode by the Reeb flow for time
 ``a0 t``.  The sampled closest approaches ask the model for squared
-distances to the target (``flow_sq_distances``), which the spheres and their
-deformations give in closed form without positions; Newton takes the
-endpoints themselves (``flow_points``).
+distances to the target (``flow_sq_distances``), a block of samples at a
+time, which the spheres, their deformations and Heisenberg give in closed
+form without positions; Newton takes the endpoints themselves
+(``flow_points``).
 Certification always integrates the connecting geodesic by RK4 to the flight
 time the search found, with step doubling run as one two-row integration:
 the reported ``miss`` is the fine endpoint's distance to the target plus the
@@ -428,8 +429,9 @@ class ShootingResult:
         return self.status == "converged"
 
 
-# Output elements (rows x times x coordinates) per flow block: bounds the
-# temporary memory of a wide scan instead of building the whole trajectory.
+# Samples (rows x times) per flow block: bounds the temporary memory of a
+# wide scan instead of building the whole trajectory.  The scanned models give
+# squared distances without positions, so a sample is a few scalars.
 _FLOW_BLOCK = 1 << 14
 
 
@@ -437,27 +439,21 @@ def _closest_sample(d2, h):
     """Closest approach from squared distances ``d2[k, i]`` sampled every ``h[i]``.
 
     Returns (miss_i, t_i) refined by parabolic interpolation of the squared
-    distance through the discrete minimum.
+    distance through the discrete minimum; a minimum at either end of the
+    samples is taken as it is.  Needs at least three samples.
     """
     n_steps = d2.shape[0] - 1
-    B = d2.shape[1]
+    rows = np.arange(d2.shape[1])
     idx = np.argmin(d2, axis=0)
-    rows = np.arange(B)
-    t_best = idx * h
-    d2_best = d2[idx, rows]
-    inner = (idx > 0) & (idx < n_steps)
-    if np.any(inner):
-        j = idx[inner]
-        r = rows[inner]
-        dm, d0, dp = d2[j - 1, r], d2[j, r], d2[j + 1, r]
-        denom = dm - 2.0 * d0 + dp
-        safe = np.abs(denom) > 1e-300
-        offset = np.where(safe, 0.5 * (dm - dp) / np.where(safe, denom, 1.0), 0.0)
-        offset = np.clip(offset, -1.0, 1.0)
-        d2_interp = d0 - 0.25 * (dm - dp) * offset
-        t_best[inner] = (j + offset) * h[inner]
-        d2_best[inner] = np.minimum(d0, d2_interp)
-    return np.sqrt(np.maximum(d2_best, 0.0)), t_best
+    j = idx.clip(1, n_steps - 1)
+    dm, d0, dp = d2[j - 1, rows], d2[j, rows], d2[j + 1, rows]
+    denom = dm - 2.0 * d0 + dp
+    safe = np.abs(denom) > 1e-300
+    offset = np.where(safe, 0.5 * (dm - dp) / np.where(safe, denom, 1.0), 0.0).clip(-1.0, 1.0)
+    inner = j == idx
+    offset = np.where(inner, offset, 0.0)
+    d2_best = np.where(inner, np.minimum(d0, d0 - 0.25 * (dm - dp) * offset), d2[idx, rows])
+    return np.sqrt(np.maximum(d2_best, 0.0)), (idx + offset) * h
 
 
 def _batched_closest_approach(model, x0, a0cov, T, n_steps, target, mode):
@@ -468,7 +464,7 @@ def _batched_closest_approach(model, x0, a0cov, T, n_steps, target, mode):
     """
     T = np.asarray(T, dtype=float)
     d2 = np.empty((n_steps + 1, x0.shape[0]))
-    width = max(1, _FLOW_BLOCK // (x0.shape[0] * x0.shape[-1]))
+    width = max(1, _FLOW_BLOCK // x0.shape[0])
     for k in range(0, n_steps + 1, width):
         frac = np.arange(k, min(k + width, n_steps + 1)) / n_steps
         d2[k:k + frac.size] = model.flow_sq_distances(x0, a0cov, T[:, None] * frac, target, mode).T

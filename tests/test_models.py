@@ -168,7 +168,7 @@ class TestClosedFormFlow:
     )
     def test_batched_flow_matches_rows_and_rk4(self, key, mode):
         # rows with a0 = 0, a Heisenberg turning rate a_z = 2 a0 small enough
-        # for the series branch all along (|a_z t| <= 4e-3 < 1e-2), turning
+        # for the series branch all along (|a_z t| <= 4e-3 < 1), turning
         # arcs, and in riem mode the poles a0 = +-1 (pure Reeb motion); each
         # row has its own time grid
         model = get_model(key)
@@ -223,9 +223,8 @@ class TestFlowSqDistances:
     @pytest.mark.parametrize("key", ["s3", "s5", "s3-dhom:2.0", "s5-dhom:1.7", "heisenberg"])
     @pytest.mark.parametrize("mode", ["sub", "riem"])
     def test_matches_the_materialised_positions(self, key, mode):
-        # the spheres' closed form, the deformed spheres' delegation to it and
-        # Heisenberg's default route against |flow_positions (+ Reeb flow) -
-        # q|^2; rows at a0 = 0, 1e-3 and +-1 (the poles in riem mode), each on
+        # the closed forms of the spheres and Heisenberg, and the deformed
+        # spheres' delegation, against |flow_positions (+ Reeb flow) - q|^2; rows at a0 = 0, 1e-3 and +-1 (the poles in riem mode), each on
         # its own time grid, and a target on row 1's path, where distances reach 0
         model = _sphere_or_deformed(key)
         rng = np.random.default_rng(12)

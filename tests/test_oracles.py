@@ -10,16 +10,20 @@ can hide a slip in the other.
   chord ``r`` and signed area ``A`` between arc and chord,
   ``A / r^2 = (s - sin s) / (2 s^2 sinc^2(s/2))``, and the length is
   ``r / sinc(s/2)``.
+  The Heisenberg flow itself is checked against its Hamiltonian system
+  integrated by ``mpmath`` quadrature at 40 digits.
 - Round sphere ``S^{2n+1}`` (Boscain-Rossi, SIAM J. Control Optim. 47 (2008);
   Baudoin-Wang, Math. Z. 275 (2013)): along a unit-speed geodesic with Reeb
   momentum ``a0``, ``<p, x(t)> = e^{-i a0 t}(cos wt + i (a0/w) sin wt)`` with
   ``w = sqrt(1 + a0^2)``.  The modulus fixes ``sin wt = w sqrt(1 - |z|^2)``
   on two branches of ``wt``; the phase is one root in ``a0`` per branch, and
-  the least ``t`` is the distance.
+  the least ``t`` is the distance.  In riem mode the metric is the round one,
+  so the distance is ``arccos(p . q)``.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -50,6 +54,30 @@ def heisenberg_distance(p, q):
         maxiter=500,
     )
     return r / float(_sinc(0.5 * s))
+
+
+def heisenberg_flow_mp(x0, a, t, reeb_weight):
+    """The Heisenberg flow of ``H_sub + reeb_weight a0^2 / 2`` at time ``t``, to 40 digits.
+
+    Hamilton's equations ``x' = w, y' = a_y, z' = y w + reeb_weight a_z / 4``
+    with ``w = a_x + y a_z`` turn ``(w, a_y)`` at the constant rate ``a_z``;
+    ``x`` and ``z`` are integrated by quadrature.
+    """
+    with mpmath.workdps(40):
+        px, py, pz, ax, ay, az, t = (mpmath.mpf(float(v)) for v in (*x0, *a, t))
+        w0 = ax + py * az
+
+        def w(s):
+            return w0 * mpmath.cos(az * s) + ay * mpmath.sin(az * s)
+
+        def y(s):
+            if az == 0:
+                return py + ay * s
+            return py + (ay * mpmath.sin(az * s) + w0 * (mpmath.cos(az * s) - 1)) / az
+
+        x = px + mpmath.quad(w, [0, t])
+        z = pz + mpmath.quad(lambda s: y(s) * w(s) + reeb_weight * az / 4, [0, t])
+        return np.array([float(x), float(y(t)), float(z)])
 
 
 def hermitian(p, q):
@@ -166,6 +194,31 @@ class TestOracleSelfChecks:
             assert oracle(p, qi) == pytest.approx(0.9, abs=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["sub", "riem"])
+def test_heisenberg_flow_matches_mpmath(mode):
+    # each row ends at its own turning angle a_z t: 0, 1e-9, just under and
+    # just over the series cut |a_z t| = 2 _SERIES_CUT, and 1.7 to 10; the
+    # earlier samples of each row fill in smaller angles
+    heis = models.get_model("heisenberg")
+    cut = 2.0 * models._SERIES_CUT
+    turn = np.array([0.0, 1e-9, cut * (1 - 1e-9), cut * (1 + 1e-9), 1.7, -4.0, 10.0])
+    T = np.array([2.0, 1.0, 3.0, 8.0, 2.5, 6.0, 5.0])
+    rng = np.random.default_rng(13)
+    x0 = heis.random_points(rng, turn.size)
+    a = np.column_stack([rng.uniform(-2.0, 2.0, (turn.size, 2)), turn / T])
+    t = T[:, None] * np.array([0.1, 0.5, 0.999, 1.0])
+    q = np.array([2.5, -3.0, 1.5])
+    got = heis.flow_points(x0, a, t, mode)
+    got_d2 = heis.flow_sq_distances(x0, a, t, q, mode)
+    weight = 1.0 if mode == "riem" else 0.0
+    for i in range(turn.size):
+        for k in range(t.shape[1]):
+            want = heisenberg_flow_mp(x0[i], a[i], t[i, k], weight)
+            assert np.linalg.norm(got[i, k] - want) <= 1e-14 * np.linalg.norm(want), (i, k)
+            want_d2 = float(np.sum((want - q) ** 2))
+            assert abs(got_d2[i, k] - want_d2) <= 1e-14 * want_d2, (i, k)
+
+
 def test_heisenberg_search_is_exact():
     heis = models.get_model("heisenberg")
     rep = sr.estimate_diameter(heis, 10, sr.ShootingConfig(seed=3))
@@ -184,3 +237,13 @@ def test_sphere_search_is_exact_and_never_short(key):
         exact = sphere_distance(pair.p, pair.q)
         d = pair.result.distance
         assert exact - 1e-12 <= d <= exact + 1e-12, (pair.index, d, exact)
+
+
+@pytest.mark.parametrize("key", ["s3", "s5"])
+def test_round_sphere_riem_distance_is_the_great_circle(key):
+    model = models.get_model(key)
+    rep = sr.estimate_diameter(model, 8, sr.ShootingConfig(seed=4, mode="riem"))
+    assert not rep.partial
+    for pair in rep.pairs:
+        exact = math.acos(float(np.clip(pair.p @ pair.q, -1.0, 1.0)))
+        assert abs(pair.result.distance - exact) < 1e-12, (pair.index, pair.result.distance, exact)

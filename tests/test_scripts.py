@@ -1,5 +1,6 @@
-"""Smoke runs of the experiment scripts under ``scripts/``."""
+"""Smoke runs of the experiment scripts under ``scripts/``, and the benchmark recorder's pairing."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -37,3 +38,45 @@ def test_deformation_sweep_flags_nothing():
     )
     assert done.returncode == 0, done.stderr
     assert "<-- check" not in done.stdout, done.stdout
+
+
+def load_bench():
+    spec = importlib.util.spec_from_file_location("bench", os.path.join(ROOT, "scripts", "bench.py"))
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def fake_run(value):
+    return {"metrics": {} if value is None else {"ops_per_s": {"unit": "1/s", "value": value}}}
+
+
+def test_bench_pair_summary_counts_wins_by_direction():
+    bench = load_bench()
+    base = [fake_run(v) for v in (1.0, 2.0, 3.0, None, 4.0)]
+    change = [fake_run(v) for v in (2.0, 2.0, 1.5, 5.0, 5.0)]
+    higher = bench.pair_summary(base, change, "ops_per_s", "higher")
+    assert higher == {"pairs": 4, "won": 2, "lost": 1, "ratios": [2.0, 1.0, 0.5, None, 1.25],
+                      "median_ratio": 1.125}
+    lower = bench.pair_summary(base, change, "ops_per_s", "lower")
+    assert (lower["won"], lower["lost"], lower["ratios"]) == (1, 2, higher["ratios"])
+
+
+def test_bench_alternates_the_side_that_runs_first(monkeypatch):
+    bench = load_bench()
+    calls = []
+
+    def run(repo, workload, seed, seconds, trace):
+        calls.append((repo, seed, trace))
+        return {"seed": seed, "exit": 0, **fake_run(2.0 if repo == "new" else 1.0)}
+
+    monkeypatch.setattr(bench, "run", run)
+    monkeypatch.setattr(bench, "SEEDS", (7, 8, 9))
+    spec = {"run_seconds": 1, "end_to_end": [{"name": "ops_per_s", "better": "higher"}]}
+    out = bench.bench_workload("w", {"base": "old", "change": "new"}, spec)
+    assert calls == [("old", 7, 0), ("new", 7, 0), ("new", 8, 0), ("old", 8, 0),
+                     ("old", 9, 0), ("new", 9, 0), ("old", 1, 1), ("new", 1, 1)]
+    assert out["pairs"]["ops_per_s"] == {"pairs": 3, "won": 3, "lost": 0,
+                                         "ratios": [2.0, 2.0, 2.0], "median_ratio": 2.0}
+    assert out["base"]["end_to_end"]["ops_per_s"]["median"] == 1.0
+    assert [r["seed"] for r in out["change"]["runs"]] == [7, 8, 9]

@@ -201,10 +201,10 @@ def test_paths_do_not_depend_on_the_blas_thread_count():
 
 
 class OffsetFlowHeisenberg(models.HeisenbergModel):
-    """A planted wrong exact flow: every position off by 1e-2."""
+    """A planted wrong exact flow: every position off by 1e-2, on both flow routes."""
 
-    def flow_positions(self, x0, a, t):
-        return super().flow_positions(x0, a, t) + 1e-2
+    def _flow_offsets(self, x0, a, t):
+        return tuple(u + 1e-2 for u in super()._flow_offsets(x0, a, t))
 
 
 class CountingSphere(models.SphereModel):
@@ -228,13 +228,13 @@ class TestFlowEvaluator:
         "key, mode",
         [pytest.param("s3", m, id=m) for m in ("sub", "riem")]
         + [pytest.param(k, m, id=f"{k}-{m}")
-           for k in ("s5", "s3-dhom:2.0") for m in ("sub", "riem")],
+           for k in ("s5", "s3-dhom:2.0", "heisenberg") for m in ("sub", "riem")],
     )
     def test_closest_approach_same_on_both_routes(self, key, mode, monkeypatch):
-        # blocks of 5 samples (12 rows x d coordinates each), the last one short
+        # blocks of 5 samples of 12 rows each, the last one short
         model = models.get_model(key)
         d = model.ambient_dim
-        monkeypatch.setattr(sr, "_FLOW_BLOCK", 5 * 12 * d)
+        monkeypatch.setattr(sr, "_FLOW_BLOCK", 5 * 12)
         rng = np.random.default_rng(6)
         p, q = model.random_points(rng, 2)
         c = rng.standard_normal((12, 2 * model.n))
