@@ -29,6 +29,7 @@ import functools
 import math
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .core import SasakiModel, _dot
 
@@ -74,14 +75,6 @@ def _field_map(reeb_weight: float) -> np.ndarray:
 _SERIES_CUT = 0.5
 _SINC_SERIES = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(8))
 _G_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(8))
-
-
-def _series(coeffs, x):
-    """``sum_k coeffs[k] x^k`` by Horner's rule."""
-    out = np.full_like(x, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        out = out * x + c
-    return out
 
 
 class SphereModel(SasakiModel):
@@ -390,8 +383,8 @@ class HeisenbergModel(SasakiModel):
         G = (1.0 - sinc * c) / (2.0 * guarded)
         if small.any():
             h2 = h[small] ** 2
-            sinc[small] = _series(_SINC_SERIES, h2)
-            G[small] = (2.0 * h[small]) * _series(_G_SERIES, 4.0 * h2)
+            sinc[small] = polyval(h2, _SINC_SERIES)
+            G[small] = (2.0 * h[small]) * polyval(4.0 * h2, _G_SERIES)
         ts = t * sinc
         X = ts * (w0 * c + ay * s)
         Y = ts * (ay * c - w0 * s)
