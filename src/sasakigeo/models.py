@@ -367,7 +367,7 @@ class HeisenbergModel(SasakiModel):
         ``rho^2 = w0^2 + a_y^2`` and ``G = (1 - sinc 2h) / (2h)``: the last term
         is the signed area between the arc and its chord (Agrachev-Barilari-
         Boscain, Heisenberg chapter).  Both ``sinc h`` and ``G`` come from one
-        cosine and sine of ``h``, with short series below ``|h| < _SERIES_CUT``,
+        cosine and sine of ``h``, with Taylor series below ``|h| < _SERIES_CUT``,
         where ``G`` would cancel; the straight line is the ``a_z = 0`` value.
         """
         t = np.asarray(t, dtype=float)
