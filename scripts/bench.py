@@ -13,21 +13,24 @@ end-to-end metric, and the traced run's per-layer metrics.  A run that fails
 is recorded with its exit code, not dropped.
 
 ``--repo`` names the checkout whose benchmark runs (default: this one); the
-record goes to the first unused ``BENCH_<n>.json`` at its root.  The
+record goes to the first unused ``BENCH_<n>.json`` at its root.  Each
+workload's entry holds the checkout's side under ``change``.  The
 benchmark imports the program from the checkout's ``src/``, in the
 interpreter that runs this script.
 
 ``--base`` pairs the record with the revision ``REV`` of the checkout's git
 history, exported by ``git archive`` into a temporary directory.  Base and
 change then alternate seed by seed, with the side that runs first switching
-from one seed to the next, and each workload records both sides and, per
-end-to-end metric, the change's per-seed ratio to the base and the number of
-pairs it won and lost (ties count for neither).
+from one seed to the next, and each workload also records the base's side
+under ``base`` and, under ``pairs`` per end-to-end metric, the change's
+per-seed ratio to the base and the number of pairs it won and lost (ties
+count for neither).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -148,10 +151,10 @@ def bench_workload(name, sides, spec):
         traced = run(repo, name, TRACE_SEED, seconds, 1)
         print(f"{name} {side} traced: exit {traced['exit']}", file=sys.stderr)
         out[side] = side_record(runs[side], traced, spec)
-    if "base" not in sides:
-        return out["change"]
-    out["pairs"] = {m["name"]: pair_summary(runs["base"], runs["change"], m["name"], m["better"])
-                    for m in spec["end_to_end"]}
+    if "base" in sides:
+        out["pairs"] = {m["name"]: pair_summary(runs["base"], runs["change"], m["name"],
+                                                m["better"])
+                        for m in spec["end_to_end"]}
     return out
 
 
@@ -164,22 +167,23 @@ def main(argv=None):
     repo = os.path.abspath(args.repo)
     with open(os.path.join(repo, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as base_dir:
-        sides = {"change": repo}
-        record = {
-            "machine": {
-                "cores": os.cpu_count(),
-                "machine": platform.machine(),
-                "python": platform.python_version(),
-                "numpy": numpy.__version__,
-                "scipy": scipy.__version__,
-                "git_head": git_head(repo),
-            },
-            "run_seconds": spec["run_seconds"],
-            "seeds": list(SEEDS),
-            "trace_seed": TRACE_SEED,
-        }
+    record = {
+        "machine": {
+            "cores": os.cpu_count(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+            "git_head": git_head(repo),
+        },
+        "run_seconds": spec["run_seconds"],
+        "seeds": list(SEEDS),
+        "trace_seed": TRACE_SEED,
+    }
+    sides = {"change": repo}
+    with contextlib.ExitStack() as stack:
         if args.base:
+            base_dir = stack.enter_context(tempfile.TemporaryDirectory(prefix="bench-base-"))
             sides = {"base": base_dir, **sides}
             record["base"] = {"rev": args.base, "git_head": export(repo, args.base, base_dir)}
         record["workloads"] = {

@@ -183,10 +183,13 @@ class SasakiModel(abc.ABC):
         """Squared distances (..., K) from ``q`` of :meth:`flow_points`."""
         return self._flow_sq_distances(x0, a, t, q, _REEB_WEIGHTS[mode])
 
+    @abc.abstractmethod
     def _flow_sq_distances(self, x0, a, t, q, reeb_weight):
-        """:meth:`flow_sq_distances` for ``H_sub + reeb_weight a0^2 / 2``, from the positions."""
-        diff = self._flow_points(x0, a, t, reeb_weight) - q
-        return _dot(diff, diff)
+        """:meth:`flow_sq_distances` for ``H_sub + reeb_weight a0^2 / 2``.
+
+        Models give these without forming positions: the shooting search
+        sizes its scan blocks by the sample count alone.
+        """
 
     def _flow_points(self, x0, a, t, reeb_weight):
         """Positions (..., K, d) of the exact flow of ``H_sub + reeb_weight a0^2 / 2``.

@@ -430,8 +430,9 @@ class ShootingResult:
 
 
 # Samples (rows x times) per flow block: bounds the temporary memory of a
-# wide scan instead of building the whole trajectory.  The scanned models give
-# squared distances without positions, so a sample is a few scalars.
+# wide scan instead of building the whole trajectory.  Every model gives
+# squared distances without positions (``SasakiModel._flow_sq_distances`` is
+# abstract), so a sample is a few scalars.
 _FLOW_BLOCK = 1 << 14
 
 

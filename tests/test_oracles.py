@@ -23,7 +23,6 @@ can hide a slip in the other.
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -63,6 +62,8 @@ def heisenberg_flow_mp(x0, a, t, reeb_weight):
     with ``w = a_x + y a_z`` turn ``(w, a_y)`` at the constant rate ``a_z``;
     ``x`` and ``z`` are integrated by quadrature.
     """
+    import mpmath  # only this oracle needs it; the others collect without it
+
     with mpmath.workdps(40):
         px, py, pz, ax, ay, az, t = (mpmath.mpf(float(v)) for v in (*x0, *a, t))
         w0 = ax + py * az

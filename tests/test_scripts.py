@@ -80,3 +80,14 @@ def test_bench_alternates_the_side_that_runs_first(monkeypatch):
                                          "ratios": [2.0, 2.0, 2.0], "median_ratio": 2.0}
     assert out["base"]["end_to_end"]["ops_per_s"]["median"] == 1.0
     assert [r["seed"] for r in out["change"]["runs"]] == [7, 8, 9]
+
+
+def test_bench_records_the_change_alone_without_a_base(monkeypatch):
+    bench = load_bench()
+    monkeypatch.setattr(bench, "run", lambda repo, workload, seed, seconds, trace:
+                        {"seed": seed, "exit": 0, **fake_run(1.0)})
+    monkeypatch.setattr(bench, "SEEDS", (7, 8))
+    spec = {"run_seconds": 1, "end_to_end": [{"name": "ops_per_s", "better": "higher"}]}
+    out = bench.bench_workload("w", {"change": "new"}, spec)
+    assert list(out) == ["change"]
+    assert [r["seed"] for r in out["change"]["runs"]] == [7, 8]
