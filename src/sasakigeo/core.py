@@ -160,10 +160,6 @@ class SasakiModel(abc.ABC):
 
     # -- exact flows (the shooting search requires both) -------------------
     @abc.abstractmethod
-    def flow_positions(self, x0: np.ndarray, a: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Positions (..., K, d) of the exact sub-mode flow from rows (x0, a) at times (..., K)."""
-
-    @abc.abstractmethod
     def reeb_flow(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Points ``x`` (..., d) moved along the Reeb field for times ``theta`` (...)."""
 
@@ -184,6 +180,10 @@ class SasakiModel(abc.ABC):
         return self._flow_sq_distances(x0, a, t, q, _REEB_WEIGHTS[mode])
 
     @abc.abstractmethod
+    def _flow_points(self, x0, a, t, reeb_weight):
+        """:meth:`flow_points` for ``H_sub + reeb_weight a0^2 / 2``, in closed form."""
+
+    @abc.abstractmethod
     def _flow_sq_distances(self, x0, a, t, q, reeb_weight):
         """:meth:`flow_sq_distances` for ``H_sub + reeb_weight a0^2 / 2``.
 
@@ -191,24 +191,11 @@ class SasakiModel(abc.ABC):
         sizes its scan blocks by the sample count alone.
         """
 
-    def _flow_points(self, x0, a, t, reeb_weight):
-        """Positions (..., K, d) of the exact flow of ``H_sub + reeb_weight a0^2 / 2``.
-
-        The Reeb momentum ``a0`` is conserved and the Reeb flow commutes with
-        the horizontal flow, so this is the sub flow followed by the Reeb flow
-        for time ``reeb_weight a0 t``.
-        """
-        t = np.asarray(t, dtype=float)
-        X = self.flow_positions(x0, a, t)
-        if reeb_weight:
-            X = self.reeb_flow(X, reeb_weight * self.alpha0(x0, a)[..., None] * t)
-        return X
-
     def closed_form_from_covector(
         self, x0: np.ndarray, alpha: np.ndarray, t: np.ndarray
     ) -> np.ndarray:
         """Positions of the exact horizontal-flow solution started at (x0, alpha)."""
-        return self.flow_positions(x0, alpha, t)
+        return self.flow_points(x0, alpha, t, "sub")
 
     # -- generic helpers ---------------------------------------------------
     def eta(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:

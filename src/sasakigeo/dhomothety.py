@@ -155,13 +155,14 @@ class DHomotheticModel(SasakiModel):
     def project_state(self, state):
         return self.source.project_state(state)
 
-    def flow_positions(self, x0, a, t):
-        """Exact horizontal flow: the source flow at time ``mu t`` (H_sub scales by ``mu``)."""
-        return self.source.flow_positions(x0, a, self.mu * np.asarray(t, dtype=float))
-
     def reeb_flow(self, x, theta):
         """The flow of ``xi_mu = mu xi``: the source's Reeb flow for time ``mu theta``."""
         return self.source.reeb_flow(x, self.mu * np.asarray(theta))
+
+    def _flow_points(self, x0, a, t, reeb_weight):
+        """The source's flow at times ``mu t`` and Reeb weight ``mu reeb_weight``."""
+        t = self.mu * np.asarray(t, dtype=float)
+        return self.source._flow_points(x0, a, t, self.mu * reeb_weight)
 
     def _flow_sq_distances(self, x0, a, t, q, reeb_weight):
         """The source's squared distances at times ``mu t`` and Reeb weight ``mu reeb_weight``."""

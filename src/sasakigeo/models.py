@@ -170,51 +170,44 @@ class SphereModel(SasakiModel):
         return out
 
     # -- exact flow --------------------------------------------------------
-    def _flow_setup(self, x0, a):
-        """Per-row constants ``a0``, ``w`` (..., 1) and ``W`` (..., d) of the exact flow.
+    def _flow_setup(self, x0, a, t, reeb_weight):
+        """``W`` (..., d) and the angles ``w t``, ``theta`` (..., K) of the exact flow.
 
-        ``a0`` is the Reeb momentum of ``a``.  Its tangent part ``v = u + a0 J
-        x0``, with ``u`` the horizontal velocity, gives ``w = |v| = sqrt(|u|^2
-        + a0^2)`` and ``W = v / w``.
+        The flow of ``H_sub + reeb_weight a0^2 / 2`` from the rows ``(x0,
+        a)`` is ``e^{theta J}(cos(w t) x0 + sin(w t) W)`` with ``theta =
+        (reeb_weight - 1) a0 t``: the sub flow's rotation, then the Reeb
+        flow, as one rotation.  ``a0`` is the Reeb momentum of ``a``.  Its
+        tangent part ``v = u + a0 J x0``, with ``u`` the horizontal velocity,
+        gives ``w = |v| = sqrt(|u|^2 + a0^2)`` and ``W = v / w``.
         """
+        t = np.asarray(t, dtype=float)
         v = self.tangent_project(x0, a)
         w = np.sqrt(_dot(v, v))[..., None]
-        return self.alpha0(x0, a)[..., None], w, v / w
+        theta = ((reeb_weight - 1.0) * self.alpha0(x0, a)[..., None]) * t
+        return v / w, w * t, theta
 
-    def flow_positions(self, x0, a, t):
-        """Positions of the exact horizontal flow: e^{-a0 t J}(cos(w t) x0 + sin(w t) W).
-
-        ``x0`` and ``a`` are (..., d) rows and ``t`` is (..., K) times per
-        row; the result is (..., K, d).  ``a0``, ``w`` and ``W`` are those of
-        :meth:`_flow_setup`.
-        """
+    def _flow_points(self, x0, a, t, reeb_weight):
+        """Positions (..., K, d) of the exact flow of :meth:`_flow_setup`."""
         x0 = np.asarray(x0, dtype=float)
-        t = np.asarray(t, dtype=float)
-        a0, w, W = self._flow_setup(x0, a)
-        wt = w * t
+        W, wt, theta = self._flow_setup(x0, a, t, reeb_weight)
         c = np.cos(wt)[..., None] * x0[..., None, :] + np.sin(wt)[..., None] * W[..., None, :]
-        return self.reeb_flow(c, -a0 * t)
+        return self.reeb_flow(c, theta)
 
     def _flow_sq_distances(self, x0, a, t, q, reeb_weight):
         """Squared distances from ``q`` in closed form, without the positions.
 
-        The flow of ``H_sub + reeb_weight a0^2 / 2`` is
-        ``e^{theta J}(cos(w t) x0 + sin(w t) W)`` with ``theta = (reeb_weight
-        - 1) a0 t``: the sub flow's rotation, then the Reeb flow.  As ``J`` is
-        skew, ``<e^{theta J} y, q> = cos(theta) <y, q> - sin(theta) <y, J q>``,
-        so each row needs the four projections of ``x0`` and ``W`` on ``q``
-        and ``J q``, and each sample the cosines and sines of ``w t`` and
-        ``theta``.  The flow keeps ``|x| = |x0|``.
+        As ``J`` is skew, ``<e^{theta J} y, q> = cos(theta) <y, q> - sin(theta)
+        <y, J q>``, so each row of :meth:`_flow_setup` needs the four
+        projections of ``x0`` and ``W`` on ``q`` and ``J q``, and each sample
+        the cosines and sines of ``w t`` and ``theta``.  The flow keeps ``|x|
+        = |x0|``.
         """
         x0 = np.asarray(x0, dtype=float)
-        t = np.asarray(t, dtype=float)
-        a0, w, W = self._flow_setup(x0, a)
+        W, wt, theta = self._flow_setup(x0, a, t, reeb_weight)
         Jq = self._J(q)
         xq, xJq = _dot(x0, q)[..., None], _dot(x0, Jq)[..., None]
         Wq, WJq = _dot(W, q)[..., None], _dot(W, Jq)[..., None]
-        wt = w * t
         c, s = np.cos(wt), np.sin(wt)
-        theta = ((reeb_weight - 1.0) * a0) * t
         inner = np.cos(theta) * (c * xq + s * Wq) - np.sin(theta) * (c * xJq + s * WJq)
         return (_dot(x0, x0) + _dot(q, q))[..., None] - 2.0 * inner
 
@@ -356,8 +349,8 @@ class HeisenbergModel(SasakiModel):
         """Transversally flat: no positive lower bound on Ric^T."""
         return 0.0
 
-    def _flow_offsets(self, x0, a, t):
-        """Offsets ``(X, Y, Z)`` from ``x0`` of the exact horizontal flow, each (..., K).
+    def _flow_offsets(self, x0, a, t, reeb_weight):
+        """Offsets ``(X, Y, Z)`` from ``x0`` of the exact flow, each (..., K).
 
         The chart momenta a_x and a_z are conserved, and the pair
         ``(w, a_y) = (a_x + y a_z, a_y)`` rotates with angular rate ``a_z``, so
@@ -369,6 +362,9 @@ class HeisenbergModel(SasakiModel):
         Boscain, Heisenberg chapter).  Both ``sinc h`` and ``G`` come from one
         cosine and sine of ``h``, with Taylor series below ``|h| < _SERIES_CUT``,
         where ``G`` would cancel; the straight line is the ``a_z = 0`` value.
+        The flow of ``H_sub + reeb_weight a0^2 / 2`` adds the Reeb flow for
+        time ``reeb_weight a0 t``, with ``a0 = a_z / 2``, which moves ``z`` by
+        ``reeb_weight a_z t / 4``.
         """
         t = np.asarray(t, dtype=float)
         x0 = np.asarray(x0, dtype=float)
@@ -389,27 +385,21 @@ class HeisenbergModel(SasakiModel):
         X = ts * (w0 * c + ay * s)
         Y = ts * (ay * c - w0 * s)
         Z = x0[..., 1, None] * X + 0.5 * X * Y + (0.5 * (w0 * w0 + ay * ay)) * (t * t) * G
+        if reeb_weight:
+            Z = Z + (0.25 * reeb_weight) * az * t
         return X, Y, Z
 
-    def flow_positions(self, x0, a, t):
-        """Positions of the exact horizontal flow, (..., K, 3) for (..., K) times per row."""
+    def _flow_points(self, x0, a, t, reeb_weight):
+        """Positions (..., K, 3) of the exact flow, ``x0`` plus :meth:`_flow_offsets`."""
         x0 = np.asarray(x0, dtype=float)
-        return x0[..., None, :] + np.stack(self._flow_offsets(x0, a, t), axis=-1)
+        return x0[..., None, :] + np.stack(self._flow_offsets(x0, a, t, reeb_weight), axis=-1)
 
     def _flow_sq_distances(self, x0, a, t, q, reeb_weight):
-        """Squared distances from ``q`` of the offsets, without the positions.
-
-        The Reeb flow for time ``reeb_weight a0 t``, with ``a0 = a_z / 2``,
-        moves ``z`` by ``reeb_weight a_z t / 4``.
-        """
+        """Squared distances from ``q`` of :meth:`_flow_offsets`, without the positions."""
         x0 = np.asarray(x0, dtype=float)
-        t = np.asarray(t, dtype=float)
-        X, Y, Z = self._flow_offsets(x0, a, t)
+        X, Y, Z = self._flow_offsets(x0, a, t, reeb_weight)
         d = x0 - q
-        Z = Z + d[..., 2, None]
-        if reeb_weight:
-            Z = Z + (0.25 * reeb_weight) * np.asarray(a, dtype=float)[..., 2, None] * t
-        return (X + d[..., 0, None]) ** 2 + (Y + d[..., 1, None]) ** 2 + Z * Z
+        return (X + d[..., 0, None]) ** 2 + (Y + d[..., 1, None]) ** 2 + (Z + d[..., 2, None]) ** 2
 
     def reeb_flow(self, x, theta):
         """The Reeb field (0, 0, 1/2) flows for time ``theta``: z moves by theta/2."""

@@ -8,20 +8,21 @@ whose flow projects to horizontal constant-speed curves ("normal geodesics")
 satisfying  ``nabla_v v + 2 a0 phi(v) = 0``  with ``a0 = a(xi)`` constant.
 Integration is fixed-step RK4 on state rows ``[x | a]`` (point and covector
 side by side, one array) with per-step state projection, over a leading axis
-of rows that share each step's model calls.  The searches run
-batched over rows of initial covectors through the model's exact flow in
-both modes: the sub flow, followed in riem mode by the Reeb flow for time
-``a0 t``.  The sampled closest approaches ask the model for squared
-distances to the target (``flow_sq_distances``), a block of samples at a
-time, which the spheres, their deformations and Heisenberg give in closed
-form without positions; Newton takes the endpoints themselves
-(``flow_points``).
+of rows that share each step's model calls; :func:`integrate_geodesic`
+records one row's path.  The searches run batched over rows of initial
+covectors through the model's exact flow, one closed form per model at the
+mode's Reeb weight (0 in sub mode, 1 in riem mode).  The sampled closest
+approaches ask the model for squared distances to the target
+(``flow_sq_distances``), a block of samples at a time, without positions;
+Newton takes the endpoints themselves (``flow_points``).
 Certification always integrates the connecting geodesic by RK4 to the flight
-time the search found, with step doubling run as one two-row integration:
-the reported ``miss`` is the fine endpoint's distance to the target plus the
-Richardson estimate of the integration error there, and the reported length
-is that flight time.  A candidate whose exact flow already misses by more
-than ``hit_tol`` is not integrated.
+time the search found, with step doubling run as the two rows of one RK4
+run: the reported ``miss`` is the fine endpoint's distance to the target
+plus the Richardson estimate of the integration error there, and the
+reported length is that flight time.  A candidate whose exact flow already
+misses by more than ``hit_tol`` is not integrated.  The search's steps,
+tolerances and budgets other than the coarse grid, the horizon and the
+confirmation passes are :class:`ShootingConfig` class constants.
 
 Distances are estimated by shooting: a coarse grid over unit horizontal
 directions crossed with a Reeb-momentum grid, whose trajectories are ranked
@@ -45,6 +46,7 @@ import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
+from typing import ClassVar
 
 import numpy as np
 from scipy.stats import qmc
@@ -152,7 +154,6 @@ class GeodesicPath:
     h_values: np.ndarray
     step: float
     length: float
-    energy: float
 
     @property
     def t_end(self) -> float:
@@ -207,50 +208,33 @@ def integrate_geodesic(
     model: SasakiModel,
     init: CotangentState,
     t_end: float,
-    steps: int | tuple[int, ...],
+    steps: int,
     mode: str | None = None,
-) -> GeodesicPath | list[GeodesicPath]:
+) -> GeodesicPath:
     """Integrate the cotangent flow and record every sample.
 
     ``t_end`` must be finite and positive, ``steps`` an integer of at least
     16 and, in sub mode, the initial state must carry horizontal motion
-    (H > 0).  A tuple of step counts returns one path per count, integrated
-    together as the rows of one RK4 run of ``max(steps)`` steps: row ``i``
-    steps by ``t_end / steps[i]`` and keeps its first ``steps[i] + 1``
-    samples.  Each path equals a run of its own count bit for bit; step
-    doubling is ``steps=(n, 2 n)``.
+    (H > 0).
     """
     mode = init.mode if mode is None else mode
     t_end = float(t_end)
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
-    counts = steps if isinstance(steps, tuple) else (steps,)
-    if not counts or not all(
-        isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in counts
-    ):
-        raise ValueError(f"steps must be an integer count or a tuple of them, got {steps!r}")
-    if min(counts) < 16:
+    if not isinstance(steps, numbers.Integral) or isinstance(steps, bool):
+        raise ValueError(f"steps must be an integer count, got {steps!r}")
+    if steps < 16:
         raise ValueError("steps must be >= 16")
     h_sub = float(model.hamiltonian(init.point, init.covector, mode="sub"))
     if mode == "sub" and not h_sub > 1e-15:
         raise ValueError("initial covector has no horizontal motion (H = 0)")
-    hs = [t_end / n for n in counts]
-    state = np.concatenate((init.point, init.covector))
-    xs, as_ = _rk4_rows(model, np.tile(state, (len(counts), 1)), hs, max(counts), mode)
-    paths = [
-        _sampled_path(model, mode, t_end, h, xs[: n + 1, i].copy(), as_[: n + 1, i].copy())
-        for i, (n, h) in enumerate(zip(counts, hs))
-    ]
-    return paths if isinstance(steps, tuple) else paths[0]
-
-
-def _sampled_path(model, mode, t_end, h, xs, as_):
-    """The path of the samples ``xs, as_`` taken every ``h`` from time 0 to ``t_end``."""
-    t = np.linspace(0.0, float(t_end), xs.shape[0])
+    h = t_end / steps
+    state = np.concatenate((init.point, init.covector))[None]
+    xs, as_ = _rk4_rows(model, state, [h], steps, mode)
+    xs, as_ = xs[:, 0].copy(), as_[:, 0].copy()
+    t = np.linspace(0.0, t_end, steps + 1)
     vel = model.velocity(xs, as_, mode)
     speeds = np.sqrt(np.maximum(model.metric(xs, vel, vel), 0.0))
-    length = float(np.trapezoid(speeds, t))
-    energy = 0.5 * float(np.trapezoid(speeds * speeds, t))
     return GeodesicPath(
         model_key=model.key,
         mode=mode,
@@ -261,8 +245,7 @@ def _sampled_path(model, mode, t_end, h, xs, as_):
         alpha0s=np.asarray(model.alpha0(xs, as_)),
         h_values=np.asarray(model.hamiltonian(xs, as_, mode)),
         step=h,
-        length=length,
-        energy=energy,
+        length=float(np.trapezoid(speeds, t)),
     )
 
 
@@ -370,32 +353,35 @@ def strong_bracket_check(
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """Budgets and discretisation knobs for the distance search."""
+    """Budgets and discretisation knobs for the distance search.
+
+    The fields are what callers set.  The search's own steps, tolerances and
+    refine and widen budgets are class constants.
+    """
 
     n_directions: int = 32
     n_alpha0: int = 17
     alpha0_max: float = 4.0
     t_max: float | None = None
-    search_step: float = 2e-2
-    # RK4 certifies at ``2 certify_step`` and ``certify_step`` (step doubling)
-    certify_step: float = 5e-3
-    hit_tol: float = 1e-3
-    top_k: int = 3
-    max_refine_rounds: int = 60
     seed: int = 0
-    widen_rounds: int = 3
     confirm_rounds: int = 4
-    alpha0_cap: float = 32.0
     mode: str = "sub"
 
+    search_step: ClassVar[float] = 2e-2
+    # RK4 certifies at ``2 certify_step`` and ``certify_step`` (step doubling)
+    certify_step: ClassVar[float] = 5e-3
+    hit_tol: ClassVar[float] = 1e-3
+    top_k: ClassVar[int] = 3
+    max_refine_rounds: ClassVar[int] = 60
+    widen_rounds: ClassVar[int] = 3
+    alpha0_cap: ClassVar[float] = 32.0
+
     def __post_init__(self):
-        for name in ("alpha0_max", "search_step", "certify_step", "hit_tol",
-                     "alpha0_cap") + (() if self.t_max is None else ("t_max",)):
+        for name in ("alpha0_max",) + (() if self.t_max is None else ("t_max",)):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        for name, least in (("n_directions", 1), ("n_alpha0", 1), ("top_k", 0),
-                            ("max_refine_rounds", 0), ("widen_rounds", 0), ("confirm_rounds", 0)):
+        for name, least in (("n_directions", 1), ("n_alpha0", 1), ("confirm_rounds", 0)):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -670,8 +656,8 @@ def _certify(model, state, t, q, step):
     """Certified miss at ``q`` of the geodesic of ``state`` after flight time ``t``.
 
     RK4 runs to ``t`` at ``2 step`` and ``step`` (step doubling), as the two
-    rows of one :func:`integrate_geodesic` run of ``2 n`` steps whose coarse
-    row keeps its first ``n + 1`` samples.  The miss is the fine endpoint's
+    rows of one :func:`_rk4_rows` run of ``2 n`` steps; the coarse row
+    reaches ``t`` at its sample ``n``.  The miss is the fine endpoint's
     distance to ``q`` plus ``16/15`` of the gap between the two endpoints:
     the Richardson estimate of the coarse path's order-4 error, which bounds
     the fine path's by a factor 16.  At ``t <= 0`` the connection is ``p``
@@ -681,9 +667,10 @@ def _certify(model, state, t, q, step):
     if t <= 0.0:
         return float(np.linalg.norm(state.point - q))
     n = max(16, int(round(t / (2.0 * step))))
-    coarse, fine = integrate_geodesic(model, state, t, (n, 2 * n))
-    end = fine.points[-1]
-    gap = float(np.linalg.norm(coarse.points[-1] - end))
+    rows = np.tile(np.concatenate((state.point, state.covector)), (2, 1))
+    xs, _ = _rk4_rows(model, rows, [t / n, t / (2 * n)], 2 * n, state.mode)
+    end = xs[2 * n, 1]
+    gap = float(np.linalg.norm(xs[n, 0] - end))
     return float(np.linalg.norm(end - q)) + 16.0 / 15.0 * gap
 
 
@@ -720,9 +707,6 @@ def _refine_candidate(model, chart, p, q, c, a0, t_seed, cfg, t_max):
     # since near p Newton's a0 column shrinks with t and its steps blow up
     cap = 1.0 if mode == "riem" else cfg.alpha0_cap
 
-    def clamp_a0(v):
-        return np.clip(v, -cap, cap)
-
     c = _unit(c)
     miss, t_at = evaluate(c[None], [a0])
     miss, t_at = float(miss[0]), float(t_at[0])
@@ -735,7 +719,7 @@ def _refine_candidate(model, chart, p, q, c, a0, t_seed, cfg, t_max):
         B = _direction_basis(c)
         moved = _unit(np.stack([c + d_dir * B, c - d_dir * B], axis=1).reshape(-1, c.size))
         probes_c = np.vstack([moved, c, c])
-        probes_a = [a0] * len(moved) + [clamp_a0(a0 + d_a0), clamp_a0(a0 - d_a0)]
+        probes_a = [a0] * len(moved) + [min(a0 + d_a0, cap), max(a0 - d_a0, -cap)]
         pm, pt = evaluate(probes_c, probes_a)
         k = int(np.argmin(pm))
         if float(pm[k]) < miss:
@@ -762,7 +746,7 @@ def _refine_candidate(model, chart, p, q, c, a0, t_seed, cfg, t_max):
         miss = float(np.linalg.norm(X[0] - q))
         delta = np.linalg.lstsq((X[1:] - X[0]).T / eps, q - X[0], rcond=None)[0]
         trial_c = _unit(c + np.outer(halvings, delta[:-2] @ B))
-        trial_a = clamp_a0(a0 + halvings * delta[-2])
+        trial_a = np.clip(a0 + halvings * delta[-2], -cap, cap)
         trial_t = t_at + halvings * delta[-1]
         trial_miss = np.linalg.norm(endpoints(trial_c, trial_a, trial_t) - q, axis=-1)
         better = (trial_t > 0.0) & (trial_t <= t_max) & (trial_miss < miss)

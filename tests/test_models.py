@@ -224,8 +224,10 @@ class TestFlowSqDistances:
     @pytest.mark.parametrize("mode", ["sub", "riem"])
     def test_matches_the_materialised_positions(self, key, mode):
         # the closed forms of the spheres and Heisenberg, and the deformed
-        # spheres' delegation, against |flow_positions (+ Reeb flow) - q|^2; rows at a0 = 0, 1e-3 and +-1 (the poles in riem mode), each on
-        # its own time grid, and a target on row 1's path, where distances reach 0
+        # spheres' delegation, against |sub flow positions (+ Reeb flow) -
+        # q|^2, composed here, as are the riem positions; rows at a0 = 0, 1e-3 and +-1 (the poles in riem
+        # mode), each on its own time grid, and a target on row 1's path,
+        # where distances reach 0
         model = _sphere_or_deformed(key)
         rng = np.random.default_rng(12)
         a0 = np.array([0.0, 1e-3, -1.0, 1.0, 0.6, -0.95])
@@ -238,9 +240,11 @@ class TestFlowSqDistances:
             [sr._frame_chart(model, x[i], mode)(c[i:i + 1], a0[i:i + 1]) for i in range(a0.size)]
         )
         t = np.linspace(1.0, 4.0, a0.size)[:, None] * np.linspace(0.0, 1.0, 41)[None, :]
-        X = model.flow_positions(x, cov, t)
+        X = model.flow_points(x, cov, t, "sub")
         if mode == "riem":
             X = model.reeb_flow(X, model.alpha0(x, cov)[:, None] * t)
+        # the model's one closed form at the mode's Reeb weight, too
+        assert np.max(np.abs(model.flow_points(x, cov, t, mode) - X)) <= 1e-12
         for q in (model.random_points(rng, 1)[0], X[1, 17]):
             want = np.sum((X - q) ** 2, axis=-1)
             got = model.flow_sq_distances(x, cov, t, q, mode)

@@ -190,7 +190,7 @@ class TestOracleSelfChecks:
         a0 = np.array([-1.5, -0.3, 0.0, 0.8])
         cov = chart(c, a0)
         t = np.full((4, 1), 0.9)
-        q = model.flow_positions(np.broadcast_to(p, cov.shape), cov, t)[:, 0]
+        q = model.flow_points(np.broadcast_to(p, cov.shape), cov, t, "sub")[:, 0]
         for qi in q:
             assert oracle(p, qi) == pytest.approx(0.9, abs=1e-12)
 

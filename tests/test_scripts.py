@@ -1,4 +1,5 @@
-"""Smoke runs of the experiment scripts under ``scripts/``, and the benchmark recorder's pairing."""
+"""Smoke runs of the experiment scripts under ``scripts/``, the benchmark recorder's pairing
+and the search comparison's summary."""
 
 import importlib.util
 import os
@@ -40,11 +41,15 @@ def test_deformation_sweep_flags_nothing():
     assert "<-- check" not in done.stdout, done.stdout
 
 
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "scripts", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_bench():
-    spec = importlib.util.spec_from_file_location("bench", os.path.join(ROOT, "scripts", "bench.py"))
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    return bench
+    return load_script("bench")
 
 
 def fake_run(value):
@@ -91,3 +96,26 @@ def test_bench_records_the_change_alone_without_a_base(monkeypatch):
     out = bench.bench_workload("w", {"change": "new"}, spec)
     assert list(out) == ["change"]
     assert [r["seed"] for r in out["change"]["runs"]] == [7, 8]
+
+
+def test_compare_searches_reports_status_changes_and_the_largest_gap():
+    cmp = load_script("compare_searches")
+    base = {"a": [["converged", 1.0], ["converged", 2.0], ["budget-exhausted", None]],
+            "b": [["converged", 0.5]]}
+    same = cmp.compare(base, base)
+    assert same == {"a": {"pairs": (3, 3), "status_changes": [], "max_gap": 0.0},
+                    "b": {"pairs": (1, 1), "status_changes": [], "max_gap": 0.0}}
+    assert not cmp.failed(same)
+    change = {"a": [["converged", 1.0 + 2e-16], ["budget-exhausted", None], ["converged", 3.0]],
+              "b": [["converged", 0.375]]}
+    moved = cmp.compare(base, change)
+    assert moved["a"]["status_changes"] == [(1, "converged", "budget-exhausted"),
+                                            (2, "budget-exhausted", "converged")]
+    assert moved["a"]["max_gap"] == 2.220446049250313e-16
+    assert moved["b"] == {"pairs": (1, 1), "status_changes": [], "max_gap": 0.125}
+    assert cmp.failed(moved)
+    assert not cmp.failed({"b": moved["b"]})
+    # a set that lost pairs fails even with no status change among the rest
+    short = cmp.compare(base, {"a": base["a"][:2], "b": base["b"]})
+    assert short["a"]["pairs"] == (3, 2) and not short["a"]["status_changes"]
+    assert cmp.failed(short)

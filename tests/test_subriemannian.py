@@ -1,5 +1,6 @@
 """Cotangent flow conservation, two-point search, and distance oracles."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -136,8 +137,9 @@ class TestRowBatchedRK4:
          ("s5-dhom:1.7", "sub"), ("s5-dhom:1.7", "riem")],
     )
     def test_step_doubling_rows_equal_separate_runs(self, key, mode):
-        # rows of one run are independent: the coarse and fine rows are the
-        # one-row runs bit for bit, and those the plain batch-1 loop
+        # rows of one run are independent: the coarse and fine rows of the
+        # certificate's two-row run are the one-row runs bit for bit, and
+        # those the plain batch-1 loop
         if key == "s5-dhom:1.7":
             model = dh.apply(models.get_model("s5"), 1.7)
         else:
@@ -147,18 +149,20 @@ class TestRowBatchedRK4:
         u = model.random_unit_horizontal(rng, x[None])[0]
         cov = model.covector_from(x, 0.8 * u, 0.6)
         state = sr.CotangentState.make(model, x, cov, mode)
-        coarse, fine = sr.integrate_geodesic(model, state, 1.3, (40, 80))
-        for path, steps in ((coarse, 40), (fine, 80)):
+        rows = np.tile(np.concatenate((x, cov)), (2, 1))
+        xs2, as2 = sr._rk4_rows(model, rows, [1.3 / 40, 1.3 / 80], 80, mode)
+        for i, steps in ((0, 40), (1, 80)):
             alone = sr.integrate_geodesic(model, state, 1.3, steps)
-            assert path.points.shape == (steps + 1, model.ambient_dim)
-            assert np.array_equal(path.points, alone.points)
-            assert np.array_equal(path.covectors, alone.covectors)
-            assert np.array_equal(path.t, alone.t) and path.step == alone.step
+            assert alone.points.shape == (steps + 1, model.ambient_dim)
+            assert np.array_equal(xs2[: steps + 1, i], alone.points)
+            assert np.array_equal(as2[: steps + 1, i], alone.covectors)
+            assert alone.step == 1.3 / steps
             xs, as_ = _rk4_one_row(model, state, 1.3, steps)
             assert np.array_equal(alone.points, xs)
             assert np.array_equal(alone.covectors, as_)
 
     def test_every_count_is_checked(self, s3):
+        # a path has one step count: a tuple of them is not a count
         x = np.array([1.0, 0, 0, 0])
         u = s3.orthonormal_frame(x)[0]
         state = sr.CotangentState.make(s3, x, s3.covector_from(x, u, 0.0))
@@ -178,7 +182,8 @@ for key, mode in (("s5", "sub"), ("s3-dhom:2.0", "riem")):
     x = model.random_points(rng, 1)[0]
     u = model.random_unit_horizontal(rng, x[None])[0]
     state = sr.CotangentState.make(model, x, model.covector_from(x, 0.8 * u, 0.6), mode)
-    for path in sr.integrate_geodesic(model, state, 1.3, (200, 400)):
+    for steps in (200, 400):
+        path = sr.integrate_geodesic(model, state, 1.3, steps)
         digest.update(path.points.tobytes())
         digest.update(path.covectors.tobytes())
 print(digest.hexdigest())
@@ -203,8 +208,8 @@ def test_paths_do_not_depend_on_the_blas_thread_count():
 class OffsetFlowHeisenberg(models.HeisenbergModel):
     """A planted wrong exact flow: every position off by 1e-2, on both flow routes."""
 
-    def _flow_offsets(self, x0, a, t):
-        return tuple(u + 1e-2 for u in super()._flow_offsets(x0, a, t))
+    def _flow_offsets(self, x0, a, t, reeb_weight):
+        return tuple(u + 1e-2 for u in super()._flow_offsets(x0, a, t, reeb_weight))
 
 
 class CountingSphere(models.SphereModel):
@@ -214,9 +219,9 @@ class CountingSphere(models.SphereModel):
         super().__init__(n)
         self.flow_calls = 0
 
-    def flow_positions(self, x0, a, t):
+    def _flow_points(self, x0, a, t, reeb_weight):
         self.flow_calls += 1
-        return super().flow_positions(x0, a, t)
+        return super()._flow_points(x0, a, t, reeb_weight)
 
     def _flow_sq_distances(self, x0, a, t, q, reeb_weight):
         self.flow_calls += 1
@@ -269,8 +274,7 @@ class TestFlowEvaluator:
         q = np.array([1.0, 0.0, 0.0])
         for mode in ("sub", "riem"):
             cfg = sr.ShootingConfig(
-                seed=3, n_directions=8, n_alpha0=5, widen_rounds=0, confirm_rounds=0,
-                max_refine_rounds=20, mode=mode,
+                seed=3, n_directions=8, n_alpha0=5, confirm_rounds=0, mode=mode
             )
             for p in (np.zeros(3), np.array([0.99, 0.0, 0.0])):
                 r = sr.cc_distance(model, p, q, cfg)
@@ -283,12 +287,9 @@ class TestFlowEvaluator:
 
     def test_both_modes_use_exact_flow(self):
         # the scan and compass walk take squared distances and Newton takes
-        # positions; ten rounds leave Newton none, so both entry points count
+        # positions, so both entry points count
         p, q = np.array([1.0, 0, 0, 0]), np.array([0.0, 1, 0, 0])
-        quick = dict(
-            seed=1, n_directions=8, n_alpha0=5, widen_rounds=0, confirm_rounds=0,
-            max_refine_rounds=10,
-        )
+        quick = dict(seed=1, n_directions=8, n_alpha0=5, confirm_rounds=0)
         for mode in ("sub", "riem"):
             model = CountingSphere(1)
             sr.cc_distance(model, p, q, sr.ShootingConfig(mode=mode, **quick))
@@ -351,6 +352,10 @@ class TestFrameChart:
         assert model.frame_calls == len(passes)
 
 
+_CONSTANTS = ("search_step", "certify_step", "hit_tol", "top_k", "max_refine_rounds",
+              "widen_rounds", "alpha0_cap")
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "bad",
@@ -364,11 +369,27 @@ class TestConfigValidation:
         ids=lambda bad: next(iter(bad)),
     )
     def test_rejected(self, bad):
-        with pytest.raises(ValueError, match=next(iter(bad))):
+        # the search's own steps, tolerances and budgets are constants, not
+        # options: passing one is a TypeError naming it
+        name = next(iter(bad))
+        error = TypeError if name in _CONSTANTS else ValueError
+        with pytest.raises(error, match=name):
             sr.ShootingConfig(**bad)
 
+    def test_options_are_the_caller_set_fields(self):
+        assert [f.name for f in dataclasses.fields(sr.ShootingConfig)] == [
+            "n_directions", "n_alpha0", "alpha0_max", "t_max", "seed", "confirm_rounds", "mode"
+        ]
+        with pytest.raises(TypeError):
+            sr.ShootingConfig(hit_tol=1e-3)
+        cfg = sr.ShootingConfig()
+        assert {name: getattr(cfg, name) for name in _CONSTANTS} == {
+            "search_step": 2e-2, "certify_step": 5e-3, "hit_tol": 1e-3, "top_k": 3,
+            "max_refine_rounds": 60, "widen_rounds": 3, "alpha0_cap": 32.0,
+        }
+
     def test_edge_values_accepted(self, s3, heis):
-        cfg = sr.ShootingConfig(top_k=0, widen_rounds=0, confirm_rounds=0, max_refine_rounds=0)
+        cfg = sr.ShootingConfig(confirm_rounds=0)
         assert cfg.resolved_t_max(s3) == pytest.approx(1.25 * math.pi, rel=1e-15)
         assert cfg.resolved_t_max(heis) == 8.0
         assert sr.ShootingConfig(t_max=2.0, mode="riem").resolved_t_max(s3) == 2.0
@@ -418,20 +439,20 @@ class TestCertificate:
     def test_screened_probe_runs_no_rk4(self, heis, monkeypatch):
         # the confirm probe's candidate misses by far more than hit_tol on the
         # exact flow, so only the converged candidate's step doubling runs:
-        # one integration of the two rows (n, 2 n)
+        # one RK4 run of two rows, at steps h and h / 2 over 2 n iterations
         calls = []
-        integrate = sr.integrate_geodesic
+        rk4_rows = sr._rk4_rows
 
-        def counting(*args, **kwargs):
-            calls.append(args[2:4])
-            return integrate(*args, **kwargs)
+        def counting(model, state, h, iterations, mode):
+            calls.append((state.shape[0], list(h), iterations))
+            return rk4_rows(model, state, h, iterations, mode)
 
-        monkeypatch.setattr(sr, "integrate_geodesic", counting)
+        monkeypatch.setattr(sr, "_rk4_rows", counting)
         r = sr.cc_distance(heis, np.zeros(3), np.array([1.0, 0, 0]))
         assert r.converged
         assert len(calls) == 1
-        (_, (n, n2)), = calls
-        assert n2 == 2 * n
+        (rows, (h, h2), iterations), = calls
+        assert rows == 2 and h2 == h / 2 and iterations * h2 == pytest.approx(r.distance)
 
 
 class TestBracketGeneration:
