@@ -25,7 +25,7 @@ from .functionals import (
     linear_path,
     power_path,
 )
-from .models import MODEL_KEYS, HeisenbergModel, SphereModel, get_model, make_heisenberg, make_round_sphere
+from .models import MODEL_KEYS, HeisenbergModel, SphereModel, get_model
 from .quotient import BasicPotential, S2Grid, harmonic_potential, quotient_geometry, random_potential
 from .subriemannian import (
     CotangentState,
@@ -75,8 +75,6 @@ __all__ = [
     "harmonic_potential",
     "integrate_geodesic",
     "linear_path",
-    "make_heisenberg",
-    "make_round_sphere",
     "myers_certificate",
     "power_path",
     "quotient_geometry",

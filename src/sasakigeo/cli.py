@@ -457,7 +457,7 @@ def _cmd_functionals(args) -> int:
         source = f"harmonic(l={args.l}, m={args.m}, amplitude={args.amplitude})"
     geometry = quotient.quotient_geometry(model, grid)
     calibration = functionals.calibrate_scalar_trace(grid)
-    report = functionals.functional_report(grid, phi, geometry.volume, nodes=args.nodes)
+    report = functionals.functional_report(grid, phi, nodes=args.nodes)
     ij = functionals.ij_derivative_check(
         functionals.linear_path(quotient.BasicPotential.zero(grid), phi, args.nodes)
     )

@@ -302,8 +302,6 @@ class IdentityResult:
 
 @dataclass
 class StructureReport:
-    model_key: str
-    points_checked: int
     identities: list[IdentityResult] = field(default_factory=list)
 
     @property
@@ -317,19 +315,19 @@ class StructureReport:
         raise KeyError(name)
 
 
-def _covariant_field_derivative(model, x, X, field_fn, step):
+def _covariant_field_derivative(model, x, X, field_fn):
     """nabla_X of a tangent field given by an ambient evaluator.
 
-    Straight-line central difference of the field plus the Christoffel
-    correction.  Valid because every model's field evaluators extend smoothly
-    and tangentially off the constraint set.
+    Straight-line central difference of the field (4th order, step 1e-4)
+    plus the Christoffel correction.  Valid because every model's field
+    evaluators extend smoothly and tangentially off the constraint set.
     """
-    d = directional_derivative(field_fn, x, X, step=step, order=4)
+    d = directional_derivative(field_fn, x, X, step=1e-4, order=4)
     return d + model.gamma(x, X, field_fn(x))
 
 
-def _exterior_eta(model, x, fieldX, fieldY, step):
-    """d eta (X, Y) = X(eta(Y~)) - Y(eta(X~)) - eta([X~, Y~]) by central FD."""
+def _exterior_eta(model, x, fieldX, fieldY):
+    """d eta (X, Y) = X(eta(Y~)) - Y(eta(X~)) - eta([X~, Y~]) by central FD at step 1e-5."""
     X, Y = fieldX(x), fieldY(x)
 
     def eta_of_Y(y):
@@ -338,11 +336,9 @@ def _exterior_eta(model, x, fieldX, fieldY, step):
     def eta_of_X(y):
         return model.eta(y, fieldX(y))
 
-    t1 = directional_derivative(eta_of_Y, x, X, step=step)
-    t2 = directional_derivative(eta_of_X, x, Y, step=step)
-    bracket = directional_derivative(fieldY, x, X, step=step) - directional_derivative(
-        fieldX, x, Y, step=step
-    )
+    t1 = directional_derivative(eta_of_Y, x, X)
+    t2 = directional_derivative(eta_of_X, x, Y)
+    bracket = directional_derivative(fieldY, x, X) - directional_derivative(fieldX, x, Y)
     return t1 - t2 - model.eta(x, bracket)
 
 
@@ -350,7 +346,6 @@ def verify_structure(
     model: SasakiModel,
     n_points: int = 1000,
     seed: int = 0,
-    fd_step: float = 1e-5,
     points: np.ndarray | None = None,
     tol: float | None = None,
 ) -> StructureReport:
@@ -358,9 +353,9 @@ def verify_structure(
 
     Algebraic identities are expected at near machine precision (1e-9); the
     ones that differentiate the structure tensors numerically get a 1e-6
-    budget (the exterior-derivative checks use ``fd_step`` central
-    differences).  Passing ``tol`` replaces every per-identity tolerance with
-    a single budget.  Points are drawn from the model unless ``points`` is
+    budget (the exterior-derivative checks use central differences at step
+    1e-5).  Passing ``tol`` replaces every per-identity tolerance with a
+    single budget.  Points are drawn from the model unless ``points`` is
     given, in which case they must satisfy the constraint.
     """
     rng = np.random.default_rng(seed)
@@ -373,12 +368,11 @@ def verify_structure(
         worst = float(np.max(model.constraint_residual(x)))
         if worst > 1e-10:
             raise ValueError(f"points off the constraint set (residual {worst:.3e})")
-    n_points = x.shape[0]
     X = model.random_tangents(rng, x)
     Y = model.random_tangents(rng, x)
     xi = model.reeb(x)
 
-    report = StructureReport(model_key=model.key, points_checked=n_points)
+    report = StructureReport()
     add = report.identities.append
 
     # eta(xi) = 1
@@ -409,12 +403,12 @@ def verify_structure(
     def extendY(y):
         return model.tangent_project(y, Y)
 
-    de = _exterior_eta(model, x, extendX, extendY, fd_step)
+    de = _exterior_eta(model, x, extendX, extendY)
     r = de - 2.0 * model.metric(x, model.phi(x, X), Y)
     add(IdentityResult("contact-form", float(np.max(np.abs(r))), 1e-6))
 
     # nabla_X xi = phi(X)
-    nab = _covariant_field_derivative(model, x, X, model.reeb, step=1e-4)
+    nab = _covariant_field_derivative(model, x, X, model.reeb)
     add(
         IdentityResult(
             "reeb-parallelism",
@@ -424,15 +418,15 @@ def verify_structure(
     )
 
     # iota_xi d eta = 0
-    de = _exterior_eta(model, x, model.reeb, extendY, fd_step)
+    de = _exterior_eta(model, x, model.reeb, extendY)
     add(IdentityResult("reeb-contraction", float(np.max(np.abs(de))), 1e-6))
 
     # (nabla_X phi)(Y) = eta(Y) X - g(X, Y) xi  -- pins the curvature sign
     def phiY(y):
         return model.phi(y, extendY(y))
 
-    lhs = _covariant_field_derivative(model, x, X, phiY, step=1e-4) - model.phi(
-        x, _covariant_field_derivative(model, x, X, extendY, step=1e-4)
+    lhs = _covariant_field_derivative(model, x, X, phiY) - model.phi(
+        x, _covariant_field_derivative(model, x, X, extendY)
     )
     rhs = model.eta(x, Y)[..., None] * X - model.metric(x, X, Y)[..., None] * xi
     add(IdentityResult("phi-covariant-derivative", float(np.max(np.abs(lhs - rhs))), 1e-6))
@@ -542,7 +536,6 @@ def riemannian_laplacian_check(
     model: SasakiModel,
     potential,
     points: np.ndarray,
-    fd_step: float = 1e-2,
 ) -> float:
     """max |Delta f - 2 box f| over the sample points.
 
@@ -550,8 +543,8 @@ def riemannian_laplacian_check(
     on the model, for ambient points in a neighbourhood of the constraint
     set) and ``box_pullback(x)`` (the transverse complex Laplacian of the
     quotient representative, pulled back the same way).  The full Laplacian
-    is computed by ambient finite differences of the degree-0 homogeneous
-    extension, which restricts to the manifold Laplacian on the sphere.
+    is computed by ambient finite differences at step 1e-2 of the degree-0
+    homogeneous extension, which restricts to the manifold Laplacian.
 
     Raises if the function fails to be basic (nonzero Reeb derivative).
     """
@@ -560,7 +553,7 @@ def riemannian_laplacian_check(
     worst = float(np.max(np.abs(xi_deriv)))
     if worst > 1e-8:
         raise ValueError(f"function is not basic: Reeb derivative up to {worst:.3e}")
-    lap_flat = fd_hessian_diagonal_sum(potential.pullback, x, step=fd_step)
+    lap_flat = fd_hessian_diagonal_sum(potential.pullback, x)
     delta = -lap_flat  # geometer sign: positive spectrum
     box = potential.box_pullback(x)
     return float(np.max(np.abs(delta - 2.0 * box)))

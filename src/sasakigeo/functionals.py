@@ -40,7 +40,6 @@ __all__ = [
     "linear_path",
     "power_path",
     "piecewise_linear_path",
-    "palindrome_path",
     "functional_L",
     "functional_I",
     "functional_J",
@@ -160,13 +159,6 @@ def piecewise_linear_path(
         )
         segs.append(seg)
     return PotentialPath(waypoints[0].grid, segs)
-
-
-def palindrome_path(
-    phi_a: BasicPotential, phi_b: BasicPotential, nodes_per_segment: int = 17
-) -> PotentialPath:
-    """Out to phi_b and back to phi_a."""
-    return piecewise_linear_path([phi_a, phi_b, phi_a], nodes_per_segment)
 
 
 def _require_grid(grid: S2Grid) -> None:
@@ -384,17 +376,13 @@ class FunctionalReport:
     M: float
     I: float
     J: float
-    V: float
     path_independence_residual: float
     j_closed_form_residual: float
     chain_slack_lower: float
     chain_slack_upper: float
-    calibration: float
 
 
-def functional_report(
-    grid: S2Grid, phi: BasicPotential, volume: float, nodes: int = 33
-) -> FunctionalReport:
+def functional_report(grid: S2Grid, phi: BasicPotential, nodes: int = 33) -> FunctionalReport:
     """Evaluate the functionals on the straight path from zero to ``phi``.
 
     The inequality-chain slacks are those of
@@ -415,10 +403,8 @@ def functional_report(
         M=M,
         I=I,
         J=J,
-        V=volume,
         path_independence_residual=abs(L - L2),
         j_closed_form_residual=abs(J - J_closed),
         chain_slack_lower=chain_lower,
         chain_slack_upper=chain_upper,
-        calibration=0.5,
     )

@@ -36,8 +36,6 @@ from .core import SasakiModel, _dot
 __all__ = [
     "SphereModel",
     "HeisenbergModel",
-    "make_round_sphere",
-    "make_heisenberg",
     "get_model",
     "MODEL_KEYS",
 ]
@@ -222,11 +220,9 @@ class HeisenbergModel(SasakiModel):
 
     key = "heisenberg"
     n = 1
-
-    def __init__(self, sample_radius: float = 1.5):
-        # random_points draws from a cube of this half-width; the model itself
-        # is defined on all of R^3.
-        self.sample_radius = float(sample_radius)
+    # random_points draws from the cube of this half-width; the model itself
+    # is defined on all of R^3
+    sample_radius = 1.5
 
     @property
     def ambient_dim(self) -> int:
@@ -406,17 +402,6 @@ class HeisenbergModel(SasakiModel):
         out = np.array(x, dtype=float)
         out[..., 2] += 0.5 * np.asarray(theta)
         return out
-
-
-def make_round_sphere(n: int) -> SphereModel:
-    """Round sphere S^{2n+1} of a registered key: s3 (n = 1) or s5 (n = 2)."""
-    if not isinstance(n, (int, np.integer)) or n not in (1, 2):
-        raise ValueError(f"n must be 1 or 2, got {n!r}")
-    return SphereModel(int(n))
-
-
-def make_heisenberg() -> HeisenbergModel:
-    return HeisenbergModel()
 
 
 _BASE_MODELS = {

@@ -5,7 +5,8 @@ so the same helpers serve single points and batched evaluations.  Sampled-path
 derivatives use 4th-order stencils (5-point central in the interior, one-sided
 at the ends) which keeps discretisation error around h^4 -- far below the
 tolerances used by the curvature and variation checks for the default step
-sizes.
+sizes.  The parabolic vertex of three equally spaced samples refines a
+sampled minimum (the search's closest approaches, the Reeb fiber's return).
 """
 
 from __future__ import annotations
@@ -73,6 +74,17 @@ def path_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     out[0], out[1] = head[0], head[1]
     out[-1], out[-2] = tail[0], tail[1]
     return out
+
+
+def _parabolic_vertex(dm, d0, dp):
+    """Offset, in sample spacings from the middle sample, of the vertex of the
+    parabola through the samples ``dm, d0, dp`` at offsets -1, 0, 1.
+
+    Clipped to [-1, 1]; 0 where the samples are collinear (no vertex).
+    """
+    denom = dm - 2.0 * d0 + dp
+    safe = np.abs(denom) > 1e-300
+    return np.where(safe, 0.5 * (dm - dp) / np.where(safe, denom, 1.0), 0.0).clip(-1.0, 1.0)
 
 
 def fd_hessian_diagonal_sum(

@@ -30,6 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import SasakiModel
+from .numdiff import _parabolic_vertex
 
 __all__ = [
     "S2Grid",
@@ -353,20 +354,22 @@ def random_potential(
     rng: np.random.Generator,
     lmax: int = 8,
     max_amplitude: float = 0.05,
-    max_box_amplitude: float = 0.3,
-    include_mean: bool = False,
 ) -> BasicPotential:
-    """Random low-degree potential scaled well inside the positivity window."""
+    """Random potential of degrees 1 to ``lmax`` (no mean), inside the positivity window.
+
+    Scaled so that its peak is at most ``max_amplitude`` and that of
+    ``box0`` at most 0.3, which keeps the density ``u`` at 0.7 or more.
+    """
     lmax = min(lmax, grid.lmax)
     C = np.zeros((grid.lmax + 1, grid.lmax + 1), dtype=complex)
-    for l in range(0 if include_mean else 1, lmax + 1):
+    for l in range(1, lmax + 1):
         C[l, 0] = rng.standard_normal()
         for m in range(1, l + 1):
             C[l, m] = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
     pot = BasicPotential(grid, C)
     peak = pot.amplitude
     box_peak = float(np.max(np.abs(pot.box0())))
-    scale = min(max_amplitude / peak, max_box_amplitude / max(box_peak, 1e-30))
+    scale = min(max_amplitude / peak, 0.3 / max(box_peak, 1e-30))
     return pot.scaled(scale)
 
 
@@ -408,21 +411,17 @@ def transverse_scalar_curvature(
 _FIBER_BLOCK = 1024
 
 
-def measure_fiber_length(
-    model: SasakiModel, x0: np.ndarray | None = None, step: float = 1e-3
-) -> float:
+def measure_fiber_length(model: SasakiModel) -> float:
     """Length of a Reeb orbit, measured along the model's exact Reeb flow.
 
-    Samples ``model.reeb_flow`` from ``x0`` at multiples of ``step``, in
-    vectorized blocks of times, and locates the first return to the start by
-    parabolic interpolation of the squared distance around the first sampled
-    local minimum below 1e-2.  The Reeb field has unit length, so flow time
-    is arc length.
+    Samples ``model.reeb_flow`` from the model's first random point at seed
+    2, at multiples of 1e-3 up to 16, in vectorized blocks of times, and
+    locates the first return to the start by parabolic interpolation of the
+    squared distance around the first sampled local minimum below 1e-2.  The
+    Reeb field has unit length, so flow time is arc length.
     """
-    if x0 is None:
-        x0 = model.random_points(np.random.default_rng(2), 1)[0]
-    x = np.asarray(x0, dtype=float)
-    t_cap = 16.0
+    x = model.random_points(np.random.default_rng(2), 1)[0]
+    step, t_cap = 1e-3, 16.0
     n = int(round(t_cap / step))
     d2 = np.empty(n + 1)
     for k in range(0, n + 1, _FIBER_BLOCK):
@@ -434,9 +433,7 @@ def measure_fiber_length(
         hit = (d2[j - 1] < np.minimum(d2[j], d2[j - 2])) & (d2[j - 1] < 1e-2)
         if hit.any():
             i_hit = int(j[np.argmax(hit)])
-            dm, d0, dp = d2[i_hit - 2], d2[i_hit - 1], d2[i_hit]
-            denom = dm - 2.0 * d0 + dp
-            off = 0.5 * (dm - dp) / denom if abs(denom) > 1e-300 else 0.0
+            off = _parabolic_vertex(d2[i_hit - 2], d2[i_hit - 1], d2[i_hit])
             return float(((i_hit - 1) + off) * step)
     raise RuntimeError("Reeb orbit did not return within the time cap")
 

@@ -20,9 +20,11 @@ time the search found, with step doubling run as the two rows of one RK4
 run: the reported ``miss`` is the fine endpoint's distance to the target
 plus the Richardson estimate of the integration error there, and the
 reported length is that flight time.  A candidate whose exact flow already
-misses by more than ``hit_tol`` is not integrated.  The search's steps,
-tolerances and budgets other than the coarse grid, the horizon and the
-confirmation passes are :class:`ShootingConfig` class constants.
+misses by more than ``hit_tol``, or whose flight time is not positive, is not
+integrated and is never a hit: no zero-length connection is reported between
+distinct points.  The search's steps, tolerances and budgets other than the
+coarse grid, the horizon and the confirmation passes are
+:class:`ShootingConfig` class constants.
 
 Distances are estimated by shooting: a coarse grid over unit horizontal
 directions crossed with a Reeb-momentum grid, whose trajectories are ranked
@@ -52,7 +54,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .core import SasakiModel, _dot
-from .numdiff import path_derivative
+from .numdiff import _parabolic_vertex, directional_derivative, path_derivative
 
 __all__ = [
     "CotangentState",
@@ -83,7 +85,6 @@ __all__ = [
 class CotangentState:
     """A validated (point, covector) pair with cached Reeb momentum and energy."""
 
-    model_key: str
     point: np.ndarray
     covector: np.ndarray
     alpha0: float
@@ -112,7 +113,7 @@ class CotangentState:
             raise ValueError(
                 f"inconsistent Hamiltonian evaluations: {h!r} vs {h_dual!r}"
             )
-        return cls(model.key, point, covector, a0, h, mode)
+        return cls(point, covector, a0, h, mode)
 
 
 @dataclass
@@ -144,7 +145,6 @@ class GeodesicPath:
     Arrays are stored sample-major, one row per entry of ``t``.
     """
 
-    model_key: str
     mode: str
     t: np.ndarray
     points: np.ndarray
@@ -209,15 +209,14 @@ def integrate_geodesic(
     init: CotangentState,
     t_end: float,
     steps: int,
-    mode: str | None = None,
 ) -> GeodesicPath:
-    """Integrate the cotangent flow and record every sample.
+    """Integrate the cotangent flow of the state's mode and record every sample.
 
     ``t_end`` must be finite and positive, ``steps`` an integer of at least
     16 and, in sub mode, the initial state must carry horizontal motion
     (H > 0).
     """
-    mode = init.mode if mode is None else mode
+    mode = init.mode
     t_end = float(t_end)
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
@@ -236,7 +235,6 @@ def integrate_geodesic(
     vel = model.velocity(xs, as_, mode)
     speeds = np.sqrt(np.maximum(model.metric(xs, vel, vel), 0.0))
     return GeodesicPath(
-        model_key=model.key,
         mode=mode,
         t=t,
         points=xs,
@@ -280,16 +278,14 @@ def geodesic_residual(model: SasakiModel, path: GeodesicPath) -> GeodesicResidua
 
 
 def measure_convergence_order(
-    model: SasakiModel,
-    init: CotangentState,
-    t_end: float,
-    steps_list: tuple[int, ...] = (250, 500, 1000),
+    model: SasakiModel, init: CotangentState, t_end: float
 ) -> tuple[list[float], list[float]]:
     """Endpoint errors against the closed-form flow and fitted orders.
 
-    Returns (errors, orders) where ``orders[i]`` is the rate fitted between
-    consecutive step counts.
+    Integrates at 250, 500 and 1000 steps.  Returns (errors, orders) where
+    ``orders[i]`` is the rate fitted between consecutive step counts.
     """
+    steps_list = (250, 500, 1000)
     exact = model.closed_form_from_covector(init.point, init.covector, np.array([t_end]))[0]
     errors = []
     for steps in steps_list:
@@ -315,14 +311,12 @@ class BracketCheck:
     residual: float
 
 
-def strong_bracket_check(
-    model: SasakiModel, p: np.ndarray, X: np.ndarray, step: float = 1e-5
-) -> BracketCheck:
+def strong_bracket_check(model: SasakiModel, p: np.ndarray, X: np.ndarray) -> BracketCheck:
     """Finite-difference Lie bracket test that D is bracket generating.
 
     Extends ``X`` and ``phi X`` by projection, forms ``[X, phi X]`` with
-    central differences, and compares ``g([X, phi X], xi)`` against the
-    closed-form value ``-2 g(X, X)``.
+    2nd-order central differences at step 1e-5, and compares
+    ``g([X, phi X], xi)`` against the closed-form value ``-2 g(X, X)``.
     """
     p = np.asarray(p, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -338,10 +332,9 @@ def strong_bracket_check(
     def fieldPhiX(y):
         return model.phi(y, fieldX(y))
 
-    def fd_along(f, base, direction):
-        return (f(base + step * direction) - f(base - step * direction)) / (2.0 * step)
-
-    bracket = fd_along(fieldPhiX, p, fieldX(p)) - fd_along(fieldX, p, fieldPhiX(p))
+    bracket = directional_derivative(fieldPhiX, p, fieldX(p)) - directional_derivative(
+        fieldX, p, fieldPhiX(p)
+    )
     value = float(model.metric(p, model.tangent_project(p, bracket), model.reeb(p)))
     return BracketCheck(eta_bracket=value, residual=abs(value + 2.0 * gXX))
 
@@ -434,9 +427,7 @@ def _closest_sample(d2, h):
     idx = np.argmin(d2, axis=0)
     j = idx.clip(1, n_steps - 1)
     dm, d0, dp = d2[j - 1, rows], d2[j, rows], d2[j + 1, rows]
-    denom = dm - 2.0 * d0 + dp
-    safe = np.abs(denom) > 1e-300
-    offset = np.where(safe, 0.5 * (dm - dp) / np.where(safe, denom, 1.0), 0.0).clip(-1.0, 1.0)
+    offset = _parabolic_vertex(dm, d0, dp)
     inner = j == idx
     offset = np.where(inner, offset, 0.0)
     d2_best = np.where(inner, np.minimum(d0, d0 - 0.25 * (dm - dp) * offset), d2[idx, rows])
@@ -624,27 +615,35 @@ def _search_once(model, p, q, cfg, t_max, A, round_id=0):
         total_rounds += cand[5]
         refined.append(cand)
 
+    # A candidate is a hit when its exact miss is within hit_tol after a
+    # positive flight time: at t <= 0 the connection is p itself, of length
+    # 0, which is never a distance between distinct points.
+    def _hit(c):
+        return c[0] <= cfg.hit_tol and c[1] > 0.0
+
     # shortest verified connection wins; with no hits, the closest approach
     def _rank(c):
         miss_c, t_c, _, a0_c, _, _ = c
-        if miss_c <= cfg.hit_tol:
+        if _hit(c):
             return (0, t_c, abs(a0_c), miss_c)
         return (1, miss_c, t_c, abs(a0_c))
 
     refined.sort(key=_rank)
     last = None
-    for miss_c, t_c, c_c, a0_c, plateau, _ in refined:
+    for cand in refined:
+        miss_c, t_c, c_c, a0_c, plateau, _ = cand
         state = CotangentState.make(model, p, chart(c_c[None], [a0_c])[0], mode)
-        # the exact miss screens: past hit_tol no RK4 run is made for the
-        # candidate, and its exact miss is the one reported
-        miss = miss_c if miss_c > cfg.hit_tol else _certify(model, state, t_c, q, cfg.certify_step)
+        # only hits are certified: any other candidate makes no RK4 run, and
+        # its exact miss is the one reported
+        hit = _hit(cand)
+        miss = _certify(model, state, t_c, q, cfg.certify_step) if hit else miss_c
         boundary = abs(a0_c) > 0.95 * A
         last = (state, miss, a0_c, boundary, plateau)
-        if miss <= cfg.hit_tol:
+        if hit and miss <= cfg.hit_tol:
             return ShootingResult(
                 "converged", t_c, state, miss, a0_c, boundary, A, plateau, total_rounds
             )
-        if miss_c > cfg.hit_tol:
+        if not hit:
             break  # remaining candidates have worse refined misses
     state, miss, a0_c, boundary, plateau = last
     return ShootingResult(
@@ -660,12 +659,10 @@ def _certify(model, state, t, q, step):
     reaches ``t`` at its sample ``n``.  The miss is the fine endpoint's
     distance to ``q`` plus ``16/15`` of the gap between the two endpoints:
     the Richardson estimate of the coarse path's order-4 error, which bounds
-    the fine path's by a factor 16.  At ``t <= 0`` the connection is ``p``
-    itself and the miss is ``|p - q|``.  Only RK4 certifies, so a wrong exact
-    flow can cost a connection but never certify a false one.
+    the fine path's by a factor 16.  The flight time ``t`` must be positive:
+    the search certifies no zero-length connection.  Only RK4 certifies, so
+    a wrong exact flow can cost a connection but never certify a false one.
     """
-    if t <= 0.0:
-        return float(np.linalg.norm(state.point - q))
     n = max(16, int(round(t / (2.0 * step))))
     rows = np.tile(np.concatenate((state.point, state.covector)), (2, 1))
     xs, _ = _rk4_rows(model, rows, [t / n, t / (2 * n)], 2 * n, state.mode)
@@ -820,22 +817,17 @@ def estimate_diameter(
     )
 
 
-def geodesic_from_result(
-    model: SasakiModel, result: ShootingResult, steps: int | None = None
-) -> GeodesicPath:
+def geodesic_from_result(model: SasakiModel, result: ShootingResult) -> GeodesicPath:
     """Re-integrate a converged shooting result as a sampled path.
 
-    The step count defaults to roughly 2e-3 flow time per step, rounded to a
+    The step count is about 2e-3 flow time per step, at least 64, and a
     multiple of four so downstream consumers can halve the grid.
     """
     if not result.converged or result.best_init is None or result.distance is None:
         raise ValueError("only a converged search result defines a geodesic")
     if result.distance <= 0.0:
         raise ValueError("degenerate zero-length result")
-    if steps is None:
-        steps = max(64, 4 * int(round(result.distance / 0.002 / 4)))
-    if steps % 4:
-        raise ValueError("steps must be a multiple of four")
+    steps = max(64, 4 * int(round(result.distance / 0.002 / 4)))
     return integrate_geodesic(model, result.best_init, result.distance, steps)
 
 

@@ -294,31 +294,33 @@ def make_variation_field(
     )
 
 
+def _sine_profile(t: np.ndarray, length: float) -> tuple[float, np.ndarray]:
+    """``w = 2 pi / l`` and the test fields' profile ``h = sin(w t)``, zero at both ends."""
+    w = 2.0 * np.pi / length
+    return w, np.sin(w * t)
+
+
 def sine_frame_fields(
     model: SasakiModel, frame: ParallelFrame
 ) -> list[VariationField]:
-    """The fields sin(2 pi t / l) X_i on the frame subgrid."""
+    """The fields h X_i on the frame subgrid, with ``h`` of :func:`_sine_profile`."""
     path = frame.path
-    length = float(path.t[-1])
-    h = np.sin(2.0 * np.pi * frame.t / length)
-    fields = []
-    for i in range(frame.n_vectors):
-        vals = h[:, None] * frame.vectors[i]
-        fields.append(
-            make_variation_field(model, path, vals, frame.indices, f"sine-frame-{i}")
-        )
-    return fields
+    _, h = _sine_profile(frame.t, float(path.t[-1]))
+    return [
+        make_variation_field(model, path, h[:, None] * X, frame.indices, f"sine-frame-{i}")
+        for i, X in enumerate(frame.vectors)
+    ]
 
 
-def _phi_reeb_profile(t: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients ``h = sin(2 pi t / l)`` and ``k = (l / pi)(1 - cos(2 pi t / l))``, so k' = 2h."""
-    w = 2.0 * np.pi / length
-    return np.sin(w * t), (length / np.pi) * (1.0 - np.cos(w * t))
+def _phi_reeb_profile(t: np.ndarray, length: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """``w`` and ``h`` of :func:`_sine_profile` and ``k = (l / pi)(1 - cos(w t))``, so k' = 2h."""
+    w, h = _sine_profile(t, length)
+    return w, h, (length / np.pi) * (1.0 - np.cos(w * t))
 
 
 def phi_reeb_field(model: SasakiModel, path: GeodesicPath) -> VariationField:
     """The field h Phi gamma' + k xi of :func:`_phi_reeb_profile`."""
-    h, k = _phi_reeb_profile(path.t, float(path.t[-1]))
+    _, h, k = _phi_reeb_profile(path.t, float(path.t[-1]))
     pvel = model.phi(path.points, path.velocities)
     xi = model.reeb(path.points)
     vals = h[:, None] * pvel + k[:, None] * xi
@@ -330,11 +332,13 @@ def phi_reeb_field(model: SasakiModel, path: GeodesicPath) -> VariationField:
 # ---------------------------------------------------------------------------
 
 
-def _field_geometry(model, V: VariationField):
+def _field_derivatives(model, V: VariationField):
+    """Points, velocities, and the first and second covariant derivatives of ``V`` at its samples."""
     pts = V.path.points[V.indices]
     vel = V.path.velocities[V.indices]
     dt = float(V.t[1] - V.t[0])
-    return pts, vel, dt
+    DV = _covariant_along(model, pts, vel, V.values, dt)
+    return pts, vel, DV, _covariant_along(model, pts, vel, DV, dt)
 
 
 def first_variation(model: SasakiModel, path: GeodesicPath, V: VariationField) -> float:
@@ -343,8 +347,7 @@ def first_variation(model: SasakiModel, path: GeodesicPath, V: VariationField) -
     Computed as the quadrature of g(nabla_v V, gamma'), which integrates by
     parts onto the geodesic equation.
     """
-    pts, vel, dt = _field_geometry(model, V)
-    DV = _covariant_along(model, pts, vel, V.values, dt)
+    pts, vel, DV, _ = _field_derivatives(model, V)
     return float(simpson(model.metric(pts, DV, vel), x=V.t))
 
 
@@ -358,11 +361,9 @@ def second_variation(model: SasakiModel, path: GeodesicPath, V: VariationField) 
         raise ValueError("quadrature needs at least 32 samples")
     if not V.admissible():
         raise AdmissibilityError(V.admissibility_residual)
-    pts, vel, dt = _field_geometry(model, V)
+    pts, vel, DW, DDW = _field_derivatives(model, V)
     a0 = float(np.mean(path.alpha0s))
     W = V.values
-    DW = _covariant_along(model, pts, vel, W, dt)
-    DDW = _covariant_along(model, pts, vel, DW, dt)
     RVvv = model.curvature_op(pts, W, vel, vel)
     main = model.metric(pts, W, DDW + RVvv)
     cross = model.eta(pts, W) * model.metric(pts, W, vel) + model.metric(
@@ -410,38 +411,26 @@ def check_variation_identities(
         raise ValueError("frame was transported along a different path")
     _require_unit_speed(model, path)
     length = float(path.t[-1])
-    w = 2.0 * np.pi / length
     a0 = float(np.mean(path.alpha0s))
 
     res_a = res_b = None
     if frame.n_vectors > 0:
-        pts = path.points[frame.indices]
-        vel = path.velocities[frame.indices]
-        dt = 2.0 * path.step
-        tt = frame.t
-        h = np.sin(w * tt)
+        w, h = _sine_profile(frame.t, length)
         hdd = -(w**2) * h
-        res_a = 0.0
-        res_b = 0.0
-        for i in range(frame.n_vectors):
-            Vi = h[:, None] * frame.vectors[i]
-            DV = _covariant_along(model, pts, vel, Vi, dt)
-            DDV = _covariant_along(model, pts, vel, DV, dt)
-            lhs_a = model.metric(pts, Vi, DDV)
-            rhs_a = h * hdd
-            res_a = max(res_a, float(np.max(np.abs(lhs_a - rhs_a)[2:-2])))
-            lhs_b = model.metric(pts, Vi, model.curvature_op(pts, Vi, vel, vel))
-            Xi = frame.vectors[i]
+        res_a = res_b = 0.0
+        for Xi, V in zip(frame.vectors, sine_frame_fields(model, frame)):
+            pts, vel, _, DDV = _field_derivatives(model, V)
+            lhs_a = model.metric(pts, V.values, DDV)
+            res_a = max(res_a, float(np.max(np.abs(lhs_a - h * hdd)[2:-2])))
+            lhs_b = model.metric(pts, V.values, model.curvature_op(pts, V.values, vel, vel))
             rhs_b = h**2 * transverse_curvature(model, pts, Xi, vel, vel, Xi)
             res_b = max(res_b, float(np.max(np.abs(lhs_b - rhs_b)[2:-2])))
 
     V = phi_reeb_field(model, path)
-    pts, vel, dt = _field_geometry(model, V)
-    h, k = _phi_reeb_profile(V.t, length)
+    pts, vel, _, DDW = _field_derivatives(model, V)
+    w, h, k = _phi_reeb_profile(V.t, length)
     hdd = -(w**2) * h
     W = V.values
-    DW = _covariant_along(model, pts, vel, W, dt)
-    DDW = _covariant_along(model, pts, vel, DW, dt)
     lhs_c = model.metric(pts, W, DDW)
     rhs_c = h * (hdd + 3.0 * h - (2.0 * a0) ** 2 * h) - k**2
     res_c = float(np.max(np.abs(lhs_c - rhs_c)[2:-2]))
@@ -462,10 +451,9 @@ def check_variation_identities(
 
 
 def _myers_integrand(model: SasakiModel, path: GeodesicPath) -> np.ndarray:
-    length = float(path.t[-1])
-    w = 2.0 * np.pi / length
+    w, h = _sine_profile(path.t, float(path.t[-1]))
     _, ric_t = ricci_transverse(model, path.points, path.velocities, path.velocities)
-    return np.sin(w * path.t) ** 2 * (w**2 * (2 * model.n - 1) - ric_t)
+    return h**2 * (w**2 * (2 * model.n - 1) - ric_t)
 
 
 @dataclass

@@ -48,7 +48,7 @@ class TestPathIndependence:
         assert abs(via - direct) < 1e-10
 
     def test_round_trip_vanishes(self, zero, phi):
-        assert abs(fn.functional_L(fn.palindrome_path(zero, phi))) < 1e-12
+        assert abs(fn.functional_L(fn.piecewise_linear_path([zero, phi, zero]))) < 1e-12
 
     def test_constant_shift_value(self, grid, zero):
         # moving to the constant potential c crosses unit density: L = c
@@ -162,7 +162,7 @@ class TestTransformCount:
                 return method(X)
 
             monkeypatch.setattr(grid, name, counted)
-        report = fn.functional_report(grid, psi, 2.0 * np.pi**2, nodes=33)
+        report = fn.functional_report(grid, psi, nodes=33)
         cal = fn.calibrate_scalar_trace(grid)
         assert report.path_independence_residual < 1e-6 and cal.constant == 0.5
         assert calls["synthesize"] <= 40
@@ -182,11 +182,10 @@ class TestTransformCount:
 
 class TestReport:
     def test_full_report_consistency(self, grid, phi):
-        report = fn.functional_report(grid, phi, 2.0 * np.pi**2)
+        report = fn.functional_report(grid, phi)
         assert report.path_independence_residual < 1e-6
         assert report.j_closed_form_residual < 1e-6
         assert report.chain_slack_lower > -1e-7
         assert report.chain_slack_upper > -1e-7
         assert report.I >= 0.0
         assert abs(report.J - 0.5 * report.I) < 1e-10
-        assert report.V == pytest.approx(2.0 * np.pi**2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sasakigeo import dhomothety, models, subriemannian as sr
-from sasakigeo.models import MODEL_KEYS, get_model, make_heisenberg, make_round_sphere
+from sasakigeo.models import MODEL_KEYS, get_model
 
 
 @st.composite
@@ -41,17 +41,6 @@ class TestRegistry:
     def test_deformed_key_non_finite(self, key):
         with pytest.raises(KeyError, match="finite"):
             get_model(key)
-
-    def test_factories_match_registry(self):
-        assert make_round_sphere(1).key == get_model("s3").key
-        assert make_round_sphere(2).key == get_model("s5").key
-        assert make_heisenberg().key == get_model("heisenberg").key
-
-    @pytest.mark.parametrize("n", [0, 3, 1.0])
-    def test_round_sphere_only_registered(self, n):
-        # no registry key, command or test reaches S^7
-        with pytest.raises(ValueError, match="n must be 1 or 2"):
-            make_round_sphere(n)
 
 
 class TestSampling:

@@ -1,5 +1,5 @@
 """Smoke runs of the experiment scripts under ``scripts/``, the benchmark recorder's pairing
-and the search comparison's summary."""
+and the search and CLI report comparisons' summaries."""
 
 import importlib.util
 import os
@@ -119,3 +119,34 @@ def test_compare_searches_reports_status_changes_and_the_largest_gap():
     short = cmp.compare(base, {"a": base["a"][:2], "b": base["b"]})
     assert short["a"]["pairs"] == (3, 2) and not short["a"]["status_changes"]
     assert cmp.failed(short)
+
+
+def test_compare_cli_reports_exit_key_and_value_changes_and_the_largest_gap():
+    cmp = load_script("compare_searches")
+    report = {"schema": 1, "timestamp": "then", "status": "converged", "distance": 1.0,
+              "rows": [{"miss": 0.5, "alpha0": None}], "passed": True}
+    base = {"a": [0, report], "b": [3, {"timestamp": "then", "distance": None}]}
+    same = cmp.compare_cli(base, {"a": [0, dict(report, timestamp="now")], "b": base["b"]})
+    assert same == {
+        "a": {"exit": (0, 0), "key_changes": [], "value_changes": [], "max_gap": 0.0},
+        "b": {"exit": (3, 3), "key_changes": [], "value_changes": [], "max_gap": None},
+    }
+    assert not cmp.cli_failed(same)
+    # numbers may move; the largest |Δ| is reported and fails nothing
+    moved = dict(report, distance=1.0 + 2e-16, rows=[{"miss": 0.75, "alpha0": None}])
+    gap = cmp.compare_cli(base, {"a": [0, moved], "b": base["b"]})
+    assert gap["a"]["max_gap"] == 0.25 and not cmp.cli_failed(gap)
+    # an exit code, a key or a value that is not a number may not
+    change = {
+        "a": [2, dict(report, passed=False, rows=[{"miss": 0.5, "alpha0": 0.5}], extra=1)],
+        "b": [3, {"timestamp": "then", "distance": 2.0}],
+    }
+    out = cmp.compare_cli(base, change)
+    assert out["a"] == {"exit": (0, 2), "key_changes": ["extra"],
+                        "value_changes": ["passed", "rows[0].alpha0"], "max_gap": 0.0}
+    assert out["b"]["value_changes"] == ["distance"] and out["b"]["exit"] == (3, 3)
+    assert cmp.cli_failed(out) and cmp.cli_failed({"b": out["b"]})
+    assert cmp.cli_failed({"a": dict(same["a"], exit=(0, 1))})
+    # a command missing from the change has every key of the base only on one side
+    gone = cmp.compare_cli(base, {"a": base["a"]})
+    assert gone["b"]["exit"] == (3, None) and gone["b"]["key_changes"] == ["distance"]
