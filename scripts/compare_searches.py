@@ -10,7 +10,7 @@ acceptance 04's 50 pairs on each of s3 and s5 (seed 7), acceptance 08's 10
 Heisenberg unit translation ``0 -> (1, 0, 0)``, all at the default config
 otherwise.
 
-It then runs the 13 CLI commands of ``CLI_COMMANDS`` on both trees and
+It then runs the 14 CLI commands of ``CLI_COMMANDS`` on both trees and
 prints, for each, any change of exit code, any key one report has and the
 other lacks, any changed value that is not a number, and the largest
 |Δ| over the numbers, with the ``timestamp`` left out.
@@ -41,6 +41,7 @@ CLI_COMMANDS = (
     "cc-distance --model heisenberg --from 0,0,0 --to 1,0,0",
     "cc-distance --model s3 --from 1,0,0,0 --to 0,0,1,0",
     "diameter --pairs 3 --seed 2",
+    "diameter --pairs 3 --seed 2 --threads 2",
     "myers-verify --pairs 2",
     "second-variation --seed 3",
     "second-variation --model s5 --seed 3",

@@ -27,7 +27,6 @@ def main():
                     help="pairs for the Riemannian diameter estimate")
     ap.add_argument("--volume-samples", type=int, default=20000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args()
 
     source = get_model("s3")
@@ -44,9 +43,7 @@ def main():
         else:
             slack = np.nan  # t = 1/mu > 1 leaves the theorem's range
         diam = estimate_diameter(
-            deformed, args.pairs,
-            ShootingConfig(seed=args.seed, mode="riem"),
-            threads=args.threads,
+            deformed, args.pairs, ShootingConfig(seed=args.seed, mode="riem")
         )
         flag = "" if (not diam.partial and diam.estimate <= np.pi + 2e-2) else "  <-- check"
         print(f"{mu:6.2f} {deformed.tau:8.3f} {vol.measured_ratio:12.6f} "

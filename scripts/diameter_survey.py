@@ -2,7 +2,7 @@
 largest one against the curvature diameter bound 2*pi*sqrt((2n-1)/tau).
 
 Typical run:
-    python3 scripts/diameter_survey.py --model s3 --pairs 25 --threads 4
+    python3 scripts/diameter_survey.py --model s3 --pairs 25
 """
 import argparse
 import time
@@ -23,7 +23,6 @@ def main():
     ap.add_argument("--model", default="s3", choices=sorted(MODEL_KEYS))
     ap.add_argument("--pairs", type=int, default=25)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args()
 
     model = get_model(args.model)
@@ -33,9 +32,7 @@ def main():
                  "so there is no finite diameter bound to compare against")
 
     t0 = time.time()
-    report = estimate_diameter(
-        model, args.pairs, ShootingConfig(seed=args.seed), threads=args.threads
-    )
+    report = estimate_diameter(model, args.pairs, ShootingConfig(seed=args.seed))
     elapsed = time.time() - t0
 
     dists = np.array(

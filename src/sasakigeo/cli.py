@@ -250,9 +250,7 @@ def _cmd_cc_distance(args) -> int:
 def _cmd_diameter(args) -> int:
     model = models.get_model(args.model)
     cfg = subriemannian.ShootingConfig(seed=args.seed)
-    report = subriemannian.estimate_diameter(
-        model, args.pairs, cfg, threads=args.threads
-    )
+    report = subriemannian.estimate_diameter(model, args.pairs, cfg)
     bound = subriemannian.theoretical_diameter_bound(model)
     within = bound is None or report.estimate <= bound * (1.0 + 1e-2)
     payload = {
@@ -316,7 +314,7 @@ def _cmd_second_variation(args) -> int:
         row = {
             "label": f.label,
             "admissibility_residual": f.admissibility_residual,
-            "first_variation": variations.first_variation(model, path, f),
+            "first_variation": variations.first_variation(model, f),
             "second_variation": e2,
         }
         field_rows.append(row)
@@ -552,7 +550,7 @@ def build_parser() -> _Parser:
 
     p = add("diameter", _cmd_diameter, "diameter estimate over random pairs")
     p.add_argument("--pairs", type=_count, default=10)
-    p.add_argument("--threads", type=_count, default=1)
+    p.add_argument("--threads", type=_count, default=1, help="accepted and ignored")
 
     add("second-variation", _cmd_second_variation, "variation identities and energies")
 

@@ -499,8 +499,6 @@ class CurvatureReport:
 
     r_full: float
     r_transverse: float
-    ric: float
-    ric_transverse: float
     residuals: dict[str, float]
 
     @property
@@ -516,13 +514,10 @@ def curvature_report(
     Yh = model.horizontal_project(x, Y)
     r_full = model.curvature(x, Xh, Yh, Yh, Xh)
     r_t = transverse_curvature(model, x, Xh, Yh, Yh, Xh)
-    ric_val = ricci(model, x, Xh, Xh)
     trace_route, eq_route = ricci_transverse(model, x, Xh, Xh)
     return CurvatureReport(
         r_full=float(r_full),
         r_transverse=float(r_t),
-        ric=float(ric_val),
-        ric_transverse=float(trace_route),
         residuals={"ricci-transverse-routes": float(np.abs(trace_route - eq_route))},
     )
 

@@ -307,13 +307,13 @@ def ij_derivative_check(path: PotentialPath) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _stationarity_residuals(
-    grid: S2Grid, psi: BasicPotential, calibrations, eps: float = 1e-2
-) -> dict[float, float]:
+def _stationarity_residuals(grid: S2Grid, psi: BasicPotential, calibrations) -> dict[float, float]:
     """|dM(0)(psi)| per calibration, by central differencing of M along t -> t * psi.
 
-    Each probe path is built once and serves every constant.
+    The difference step is 1e-2.  Each probe path is built once and serves
+    every constant.
     """
+    eps = 1e-2
     zero = BasicPotential.zero(grid)
     m = {c: [] for c in calibrations}
     for step in (eps, -eps):
@@ -323,11 +323,9 @@ def _stationarity_residuals(
     return {c: float(abs((fwd - bwd) / (2.0 * eps))) for c, (fwd, bwd) in m.items()}
 
 
-def stationarity_residual(
-    grid: S2Grid, psi: BasicPotential, calibration: float, eps: float = 1e-2
-) -> float:
-    """|dM(0)(psi)| by central differencing of M along t -> t * psi."""
-    return _stationarity_residuals(grid, psi, (calibration,), eps)[calibration]
+def stationarity_residual(grid: S2Grid, psi: BasicPotential, calibration: float) -> float:
+    """|dM(0)(psi)| by central differencing of M along t -> t * psi, at step 1e-2."""
+    return _stationarity_residuals(grid, psi, (calibration,))[calibration]
 
 
 @dataclass
@@ -336,31 +334,23 @@ class CalibrationResult:
     residuals: dict[float, float] = field(default_factory=dict)
 
 
-def calibrate_scalar_trace(
-    grid: S2Grid, psi: BasicPotential | None = None
-) -> CalibrationResult:
+def calibrate_scalar_trace(grid: S2Grid) -> CalibrationResult:
     """Pick the scalar-trace constant that makes the round structure critical.
 
     Tries the two plausible normalizations of the curvature trace (real trace
-    and half of it) against a probe potential with nonzero mean; the round
-    structure must be a critical point of the curvature energy, which only
-    one constant achieves.  Both constants are tried on the same two probe
-    paths.
+    and half of it) against a fixed probe potential with nonzero mean: the
+    constant 0.01 plus the harmonic coefficients ``C[1, 0] = 0.004`` and
+    ``C[2, 1] = 0.003 + 0.001i``.  The round structure must be a critical
+    point of the curvature energy, which only one constant achieves.  Both
+    constants are tried on the same two probe paths.
     """
-    if psi is None:
-        psi = BasicPotential.zero(grid).shifted(0.01).plus(
-            _default_probe(grid)
-        )
-    residuals = _stationarity_residuals(grid, psi, (0.5, 1.0))
-    constant = min(residuals, key=residuals.get)
-    return CalibrationResult(constant, residuals)
-
-
-def _default_probe(grid: S2Grid) -> BasicPotential:
     C = np.zeros((grid.lmax + 1, grid.lmax + 1), dtype=complex)
     C[2, 1] = 0.003 + 0.001j
     C[1, 0] = 0.004
-    return BasicPotential(grid, C)
+    psi = BasicPotential.zero(grid).shifted(0.01).plus(BasicPotential(grid, C))
+    residuals = _stationarity_residuals(grid, psi, (0.5, 1.0))
+    constant = min(residuals, key=residuals.get)
+    return CalibrationResult(constant, residuals)
 
 
 # ---------------------------------------------------------------------------

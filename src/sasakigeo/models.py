@@ -424,7 +424,8 @@ def get_model(key: str) -> SasakiModel:
             mu = float(key.split(":", 1)[1])
         except ValueError as exc:
             raise KeyError(f"bad deformation ratio in model key {key!r}") from exc
-        if not (math.isfinite(mu) and mu > 0):
-            raise KeyError(f"deformation ratio must be finite and positive in {key!r}")
-        return dhom_apply(SphereModel(1), mu)
+        try:
+            return dhom_apply(SphereModel(1), mu)
+        except ValueError as exc:
+            raise KeyError(f"{exc} in model key {key!r}") from exc
     raise KeyError(f"unknown model key {key!r}")

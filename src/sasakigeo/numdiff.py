@@ -87,20 +87,16 @@ def _parabolic_vertex(dm, d0, dp):
     return np.where(safe, 0.5 * (dm - dp) / np.where(safe, denom, 1.0), 0.0).clip(-1.0, 1.0)
 
 
-def fd_hessian_diagonal_sum(
-    f: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    step: float = 1e-2,
-) -> np.ndarray:
+def fd_hessian_diagonal_sum(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Sum of pure second partials of ``f`` over ambient coordinates.
 
     This is the flat-space Laplacian of ``f`` at each of the (..., m) points
-    ``x`` with a 4th-order 5-point stencil per axis (analyst sign convention:
-    positive on convex bumps).
+    ``x`` with a 4th-order 5-point stencil per axis at step 1e-2 (analyst
+    sign convention: positive on convex bumps).
     """
     x = np.asarray(x, dtype=float)
     m = x.shape[-1]
-    h = step
+    h = 1e-2
     center = f(x)
     total = np.zeros_like(center)
     for i in range(m):

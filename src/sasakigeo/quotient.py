@@ -244,7 +244,10 @@ class BasicPotential:
 
     @classmethod
     def from_values(cls, grid: S2Grid, values: np.ndarray) -> "BasicPotential":
-        return cls(grid, grid.analyze(np.asarray(values, dtype=float)))
+        values = np.asarray(values, dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("potential values are non-finite (NaN or inf)")
+        return cls(grid, grid.analyze(values))
 
     @classmethod
     def zero(cls, grid: S2Grid) -> "BasicPotential":
@@ -288,10 +291,10 @@ class BasicPotential:
     def min_density(self) -> float:
         return float(np.min(self.u()))
 
-    def require_positive(self, context: str = "") -> None:
+    def require_positive(self) -> None:
         m = self.min_density()
         if m <= 0.0:
-            raise PositivityError(m, context)
+            raise PositivityError(m)
 
     def shifted(self, constant: float) -> "BasicPotential":
         C = self.coeffs.copy()

@@ -45,9 +45,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import ClassVar
 
 import numpy as np
@@ -63,7 +61,6 @@ __all__ = [
     "integrate_geodesic",
     "geodesic_residual",
     "strong_bracket_check",
-    "BracketCheck",
     "measure_convergence_order",
     "ShootingConfig",
     "ShootingResult",
@@ -252,7 +249,6 @@ class GeodesicResidual:
     """Pointwise defect of the geodesic equation along an integrated path."""
 
     max_residual: float
-    samples_checked: int
 
     @property
     def passed(self) -> bool:
@@ -273,8 +269,7 @@ def geodesic_residual(model: SasakiModel, path: GeodesicPath) -> GeodesicResidua
     if path.mode == "sub":
         acc = acc + 2.0 * path.alpha0s[..., None] * model.phi(x, v)
     norms = np.sqrt(np.maximum(model.metric(x, acc, acc), 0.0))
-    interior = norms[2:-2]
-    return GeodesicResidual(float(np.max(interior)), int(interior.shape[0]))
+    return GeodesicResidual(float(np.max(norms[2:-2])))
 
 
 def measure_convergence_order(
@@ -305,18 +300,13 @@ def measure_convergence_order(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BracketCheck:
-    eta_bracket: float
-    residual: float
-
-
-def strong_bracket_check(model: SasakiModel, p: np.ndarray, X: np.ndarray) -> BracketCheck:
+def strong_bracket_check(model: SasakiModel, p: np.ndarray, X: np.ndarray) -> float:
     """Finite-difference Lie bracket test that D is bracket generating.
 
     Extends ``X`` and ``phi X`` by projection, forms ``[X, phi X]`` with
-    2nd-order central differences at step 1e-5, and compares
-    ``g([X, phi X], xi)`` against the closed-form value ``-2 g(X, X)``.
+    2nd-order central differences at step 1e-5, and returns the residual
+    ``|g([X, phi X], xi) + 2 g(X, X)|`` against the closed-form value
+    ``-2 g(X, X)``.
     """
     p = np.asarray(p, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -336,7 +326,7 @@ def strong_bracket_check(model: SasakiModel, p: np.ndarray, X: np.ndarray) -> Br
         fieldX, p, fieldPhiX(p)
     )
     value = float(model.metric(p, model.tangent_project(p, bracket), model.reeb(p)))
-    return BracketCheck(eta_bracket=value, residual=abs(value + 2.0 * gXX))
+    return abs(value + 2.0 * gXX)
 
 
 # ---------------------------------------------------------------------------
@@ -790,9 +780,9 @@ def estimate_diameter(
     """Max of converged pairwise distance bounds over seeded random pairs.
 
     Pairs that exhaust the search budget are flagged and excluded from the
-    max, marking the report partial.  The result does not depend on
-    ``threads``: jobs are fully determined by (pair, cfg) and collected in
-    submission order.
+    max, marking the report partial.  The pairs run one after another in the
+    calling process.  ``threads`` is accepted and ignored, kept so that
+    callers passing it keep working.
     """
     if pair_samples < 1:
         raise ValueError("need at least one pair")
@@ -800,12 +790,10 @@ def estimate_diameter(
     rng = np.random.default_rng(cfg.seed)
     ps = model.random_points(rng, pair_samples)
     qs = model.random_points(rng, pair_samples)
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(cc_distance, repeat(model), ps, qs, repeat(cfg), chunksize=1))
-    else:
-        results = [cc_distance(model, ps[i], qs[i], cfg) for i in range(pair_samples)]
-    pairs = [PairResult(i, ps[i], qs[i], r) for i, r in enumerate(results)]
+    pairs = [
+        PairResult(i, ps[i], qs[i], cc_distance(model, ps[i], qs[i], cfg))
+        for i in range(pair_samples)
+    ]
     converged = [pr for pr in pairs if pr.result.converged]
     worst = max(converged, key=lambda pr: pr.result.distance, default=None)
     return DiameterReport(

@@ -77,7 +77,8 @@ class FrameReport:
     f2_max: float
     horizontality_max: float
 
-    def passed(self, tol: float = 1e-6) -> bool:
+    def passed(self) -> bool:
+        """Every residual below 1e-6."""
         worst = max(
             self.transport_residual,
             self.orthonormality_residual,
@@ -85,7 +86,7 @@ class FrameReport:
             self.f2_max,
             self.horizontality_max,
         )
-        return worst < tol
+        return worst < 1e-6
 
 
 def _require_unit_speed(model: SasakiModel, path: GeodesicPath) -> None:
@@ -264,9 +265,10 @@ class VariationField:
     endpoint_norms: tuple[float, float]
     label: str = ""
 
-    def admissible(self, tol: float = 1e-5) -> bool:
+    def admissible(self) -> bool:
+        """Admissibility residual below 1e-5 and both endpoint norms below 1e-10."""
         return (
-            self.admissibility_residual < tol
+            self.admissibility_residual < 1e-5
             and max(self.endpoint_norms) < 1e-10
         )
 
@@ -341,7 +343,7 @@ def _field_derivatives(model, V: VariationField):
     return pts, vel, DV, _covariant_along(model, pts, vel, DV, dt)
 
 
-def first_variation(model: SasakiModel, path: GeodesicPath, V: VariationField) -> float:
+def first_variation(model: SasakiModel, V: VariationField) -> float:
     """dE(0) for the variation generated by V; zero for admissible fields.
 
     Computed as the quadrature of g(nabla_v V, gamma'), which integrates by
@@ -390,7 +392,8 @@ class VariationIdentityReport:
     phi_reeb_second_derivative: float
     phi_reeb_curvature: float
 
-    def passed(self, tol: float = 1e-5) -> bool:
+    def passed(self) -> bool:
+        """Every computed residual below 1e-5."""
         vals = [
             v
             for v in (
@@ -401,7 +404,7 @@ class VariationIdentityReport:
             )
             if v is not None
         ]
-        return max(vals) < tol
+        return max(vals) < 1e-5
 
 
 def check_variation_identities(

@@ -37,7 +37,7 @@ def diameter_runs():
     t0 = time.perf_counter()
     for key in ("s3", "s5"):
         model = models.get_model(key)
-        out[key] = sr.estimate_diameter(model, 50, sr.ShootingConfig(seed=7), threads=8)
+        out[key] = sr.estimate_diameter(model, 50, sr.ShootingConfig(seed=7))
     out["elapsed"] = time.perf_counter() - t0
     return out
 
@@ -235,9 +235,7 @@ def test_08_deformation_scaling_suite():
     vol = dh.volume_scaling_check(s3, mu, samples=20000)
     ricci = dh.ricci_bound_check(s3, 1.0 / mu, samples=50, seed=3)
     deformed = dh.apply(s3, mu)
-    diam = sr.estimate_diameter(
-        deformed, 10, sr.ShootingConfig(seed=11, mode="riem"), threads=8
-    )
+    diam = sr.estimate_diameter(deformed, 10, sr.ShootingConfig(seed=11, mode="riem"))
     elapsed = time.perf_counter() - t0
     ok = (
         vol.residual < 1e-2

@@ -110,7 +110,7 @@ class TestExitCodes:
         assert "JSON" in err
 
     def test_diameter_without_converged_pair_reports_null(self, capsys, monkeypatch):
-        def no_pair_converged(model, pairs, cfg, threads=1):
+        def no_pair_converged(model, pairs, cfg):
             return subriemannian.DiameterReport(model.key, math.nan, None, [], True)
 
         monkeypatch.setattr(subriemannian, "estimate_diameter", no_pair_converged)
@@ -184,10 +184,14 @@ class TestExitCodes:
             assert f"argument {flag}: {what}" in err, err
 
     def test_out_of_range_size_returns_one(self, capsys):
-        # both used to escape as a traceback or a numpy message
+        # all used to escape as a traceback or a numpy message
+        ratio = "deformation ratio must be a finite positive number in [1e-4, 1e4]"
         cases = [
             (["functionals", "--lmax", "-1"], "need lmax >= 0"),
             (["dhomothety", "--mu", "2", "--samples", "0"], "samples must be at least 1"),
+            (["dhomothety", "--mu", "1e-300"], ratio),
+            (["dhomothety", "--mu", "1e20"], ratio),
+            (["check-identities", "--model", "s3-dhom:1e300"], ratio),
         ]
         for argv, what in cases:
             code, out, err = run(capsys, *argv)
@@ -195,6 +199,16 @@ class TestExitCodes:
             assert out == ""
             assert f"sasakigeo: error: {what}" in err, err
             assert "Traceback" not in err
+
+    def test_non_finite_values_csv_returns_one(self, capsys, tmp_path):
+        values = np.zeros((64, 128))
+        values[3, 5] = np.nan
+        csv = tmp_path / "values.csv"
+        np.savetxt(csv, values, delimiter=",")
+        code, out, err = run(capsys, "functionals", "--values-csv", str(csv))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "non-finite" in err, err
 
     def test_unwritable_output_returns_one(self, capsys):
         code, _, err = run(

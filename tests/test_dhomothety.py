@@ -42,6 +42,13 @@ class TestDeformationAlgebra:
         with pytest.raises(ValueError, match="finite"):
             dh.apply(s3, mu)
 
+    def test_ratio_range(self, s3):
+        for mu in (1e-5, 1e5):
+            with pytest.raises(ValueError, match=r"\[1e-4, 1e4\]"):
+                dh.apply(s3, mu)
+        for mu in (1e-4, 1e4):
+            assert dh.apply(s3, mu).mu == mu
+
     def test_transverse_metric_scales(self, s3):
         mu = 2.5
         dm = dh.apply(s3, mu)

@@ -27,7 +27,7 @@ def test_energy_landscape_marks_only_half_critical():
 
 
 def test_diameter_survey_within_bound():
-    done = run_script("diameter_survey.py", "--model", "s3", "--pairs", "2", "--threads", "1")
+    done = run_script("diameter_survey.py", "--model", "s3", "--pairs", "2")
     assert done.returncode == 0, done.stderr
     assert "within bound" in done.stdout, done.stdout
 
@@ -35,7 +35,7 @@ def test_diameter_survey_within_bound():
 def test_deformation_sweep_flags_nothing():
     done = run_script(
         "deformation_sweep.py", "--ratios", "2.0", "--pairs", "2",
-        "--volume-samples", "2000", "--threads", "1",
+        "--volume-samples", "2000",
     )
     assert done.returncode == 0, done.stderr
     assert "<-- check" not in done.stdout, done.stdout

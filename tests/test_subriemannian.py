@@ -465,8 +465,7 @@ class TestBracketGeneration:
         rng = np.random.default_rng(5)
         x = model.random_points(rng, 1)[0]
         X = model.random_unit_horizontal(rng, x[None])[0]
-        chk = sr.strong_bracket_check(model, x, X)
-        assert chk.residual < 1e-6
+        assert sr.strong_bracket_check(model, x, X) < 1e-6
 
     def test_vertical_input_rejected(self, s3):
         x = np.array([1.0, 0, 0, 0])
@@ -599,22 +598,6 @@ class TestDistanceOracles:
 
 
 class TestDiameterEstimate:
-    def test_thread_count_does_not_change_results(self, s3):
-        # the deformed model's key prints mu to six digits, so a worker must
-        # receive the model itself, not a model rebuilt from its key
-        quick = sr.ShootingConfig(seed=5, n_directions=8, n_alpha0=5, confirm_rounds=0)
-        cases = [
-            (s3, 2, sr.ShootingConfig(seed=31)),
-            (dh.apply(s3, 1.23456789), 1, quick),
-        ]
-        for model, pairs, cfg in cases:
-            serial = sr.estimate_diameter(model, pairs, cfg, threads=1)
-            threaded = sr.estimate_diameter(model, pairs, cfg, threads=2)
-            assert serial.estimate == threaded.estimate
-            assert [p.result.distance for p in serial.pairs] == [
-                p.result.distance for p in threaded.pairs
-            ]
-
     def test_bound_values(self, s3, s5, heis):
         assert abs(sr.theoretical_diameter_bound(s3) - math.pi) < 1e-12
         assert abs(sr.theoretical_diameter_bound(s5) - math.pi * math.sqrt(2)) < 1e-12
