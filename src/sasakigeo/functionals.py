@@ -24,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, simpson
 
-from .numdiff import path_derivative
+from .numdiff import _cumulative_trapezoid, _simpson, path_derivative
 from .quotient import (
     BasicPotential,
     PositivityError,
@@ -176,7 +175,7 @@ def _require_nodes(path: PotentialPath) -> None:
 
 def _segment_integral(grid: S2Grid, seg: PathSegment, node_fn) -> float:
     vals = np.array([node_fn(phi, dot) for phi, dot in zip(seg.phis, seg.phidots)])
-    return float(simpson(vals, x=seg.ts))
+    return float(_simpson(vals, seg.ts))
 
 
 def functional_L(path: PotentialPath) -> float:
@@ -258,7 +257,7 @@ def functional_M(path: PotentialPath, calibration: float = 0.5) -> float:
             -grid.mean(dot.values * (s - ROUND_TRANSVERSE_SCALAR) * phi.u())
             for phi, dot, s in zip(seg.phis, seg.phidots, s_t)
         ]
-        total += float(simpson(vals, x=seg.ts))
+        total += float(_simpson(vals, seg.ts))
     return total
 
 
@@ -286,7 +285,7 @@ def ij_derivative_check(path: PotentialPath) -> float:
     l_nodes = np.array(
         [grid.mean(dot.values * phi.u()) for phi, dot in zip(seg.phis, seg.phidots)]
     )
-    l_cum = np.concatenate([[0.0], cumulative_trapezoid(l_nodes, seg.ts)])
+    l_cum = np.concatenate([[0.0], _cumulative_trapezoid(l_nodes, seg.ts)])
     f = np.empty(seg.ts.shape[0])
     rhs = np.empty(seg.ts.shape[0])
     for j, (phi, dot) in enumerate(zip(seg.phis, seg.phidots)):

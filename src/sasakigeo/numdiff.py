@@ -7,6 +7,13 @@ at the ends) which keeps discretisation error around h^4 -- far below the
 tolerances used by the curvature and variation checks for the default step
 sizes.  The parabolic vertex of three equally spaced samples refines a
 sampled minimum (the search's closest approaches, the Reeb fiber's return).
+
+The composite Simpson and cumulative trapezoid sums that the variation and
+functional quadratures take along a time grid live here too, written in
+numpy with ``scipy.integrate``'s own arithmetic so that every result is
+bit-identical to it.  Importing ``scipy.integrate`` costs more than half a
+second, several times the rest of the package, and these two sums are all
+the package used it for.
 """
 
 from __future__ import annotations
@@ -85,6 +92,52 @@ def _parabolic_vertex(dm, d0, dp):
     denom = dm - 2.0 * d0 + dp
     safe = np.abs(denom) > 1e-300
     return np.where(safe, 0.5 * (dm - dp) / np.where(safe, denom, 1.0), 0.0).clip(-1.0, 1.0)
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson integral of the samples ``y`` at the increasing nodes ``x``.
+
+    The same sum as ``scipy.integrate.simpson(y, x=x)``, bit for bit: the
+    irregular-spacing rule over pairs of intervals, and for an even sample
+    count Cartwright's correction for the last interval.  Needs at least 3
+    samples.
+    """
+    y = np.asarray(y, dtype=float)
+    n = y.shape[0]
+    if n < 3:
+        raise ValueError("Simpson's rule needs at least 3 samples")
+    d = np.diff(np.asarray(x, dtype=float))
+    stop = n - 2 if n % 2 else n - 3
+    h0, h1 = d[0:stop:2], d[1 : stop + 1 : 2]
+    hsum, hprod = h0 + h1, h0 * h1
+    ratio = h0 / h1
+    weighted = (
+        y[0:stop:2] * (2.0 - 1.0 / ratio)
+        + y[1 : stop + 1 : 2] * (hsum * (hsum / hprod))
+        + y[2 : stop + 2 : 2] * (2.0 - ratio)
+    )
+    total = np.sum(hsum / 6.0 * weighted)
+    if n % 2 == 0:
+        # 0-d arrays, not scalars: their powers round as scipy's do
+        a, b = np.asarray(d[-2]), np.asarray(d[-1])
+        total += (
+            (2 * b**2 + 3 * a * b) / (6 * (b + a)) * y[-1]
+            + (b**2 + 3.0 * a * b) / (6 * a) * y[-2]
+            - b**3 / (6 * a * (a + b)) * y[-3]
+        )
+    return total
+
+
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals of ``y`` from ``x[0]`` to each later node.
+
+    The same sums as ``scipy.integrate.cumulative_trapezoid(y, x)``, bit for
+    bit (length ``len(y) - 1``).  Needs at least 3 samples.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.shape[0] < 3:
+        raise ValueError("the trapezoid sums need at least 3 samples")
+    return np.cumsum(np.diff(np.asarray(x, dtype=float)) * (y[1:] + y[:-1]) / 2.0)
 
 
 def fd_hessian_diagonal_sum(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:

@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from scipy.stats import qmc
 
 from .core import SasakiModel, _dot
 from .numdiff import _parabolic_vertex, directional_derivative, path_derivative
@@ -334,6 +333,11 @@ def strong_bracket_check(model: SasakiModel, p: np.ndarray, X: np.ndarray) -> fl
 # ---------------------------------------------------------------------------
 
 
+def _is_count(value, least: int) -> bool:
+    """Whether ``value`` is an integer, not a bool, of at least ``least``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
 @dataclass(frozen=True)
 class ShootingConfig:
     """Budgets and discretisation knobs for the distance search.
@@ -362,11 +366,13 @@ class ShootingConfig:
     def __post_init__(self):
         for name in ("alpha0_max",) + (() if self.t_max is None else ("t_max",)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+            if isinstance(value, bool) or not (
+                isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
+            ):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         for name, least in (("n_directions", 1), ("n_alpha0", 1), ("confirm_rounds", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least):
+            if not _is_count(value, least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.mode not in ("sub", "riem"):
             raise ValueError(f"mode must be 'sub' or 'riem', got {self.mode!r}")
@@ -490,10 +496,17 @@ def _scan_directions(h, count, rng):
     points pushed through the normal map give quasi-uniform coverage of the
     direction sphere.  Both stay deterministic in ``rng`` and change with it
     across widen/confirm passes.
+
+    ``scipy.stats`` is imported here, on the first scan of rank above 2 (s5
+    and larger spheres), and not with the package: it is the package's only
+    scipy use and costs about half a second, which every rank-2 search and
+    every CLI command would otherwise pay at start-up.
     """
     if h == 2:
         ang = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi * np.arange(count) / count
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    from scipy.stats import qmc
+
     return _unit(qmc.MultivariateNormalQMC(np.zeros(h), seed=rng).random(count))
 
 
@@ -784,8 +797,8 @@ def estimate_diameter(
     calling process.  ``threads`` is accepted and ignored, kept so that
     callers passing it keep working.
     """
-    if pair_samples < 1:
-        raise ValueError("need at least one pair")
+    if not _is_count(pair_samples, 1):
+        raise ValueError(f"pair_samples must be an integer >= 1, got {pair_samples!r}")
     cfg = cfg or ShootingConfig()
     rng = np.random.default_rng(cfg.seed)
     ps = model.random_points(rng, pair_samples)

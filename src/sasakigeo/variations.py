@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .core import SasakiModel, ricci_transverse, transverse_curvature
-from .numdiff import path_derivative
+from .numdiff import _simpson, path_derivative
 from .subriemannian import GeodesicPath, _myers_bound
 
 __all__ = [
@@ -350,7 +349,7 @@ def first_variation(model: SasakiModel, V: VariationField) -> float:
     parts onto the geodesic equation.
     """
     pts, vel, DV, _ = _field_derivatives(model, V)
-    return float(simpson(model.metric(pts, DV, vel), x=V.t))
+    return float(_simpson(model.metric(pts, DV, vel), V.t))
 
 
 def second_variation(model: SasakiModel, path: GeodesicPath, V: VariationField) -> float:
@@ -371,7 +370,7 @@ def second_variation(model: SasakiModel, path: GeodesicPath, V: VariationField) 
     cross = model.eta(pts, W) * model.metric(pts, W, vel) + model.metric(
         pts, DW, model.phi(pts, W)
     )
-    return float(-simpson(main, x=V.t) + 2.0 * a0 * simpson(cross, x=V.t))
+    return float(-_simpson(main, V.t) + 2.0 * a0 * _simpson(cross, V.t))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +477,7 @@ def second_variation_sum(
         second_variation(model, path, f) for f in sine_frame_fields(model, frame)
     )
     total += second_variation(model, path, phi_reeb_field(model, path))
-    integral = float(simpson(_myers_integrand(model, path), x=path.t))
+    integral = float(_simpson(_myers_integrand(model, path), path.t))
     return SumIdentityReport(float(total), integral)
 
 
@@ -515,6 +514,6 @@ def myers_certificate(
             "certificate applies to minimizing geodesics only; pass minimizing=True "
             "for a converged shortest connection"
         )
-    integral = float(simpson(_myers_integrand(model, path), x=path.t))
+    integral = float(_simpson(_myers_integrand(model, path), path.t))
     length = float(path.t[-1])
     return MyersCertificate(integral, length, _myers_bound(model.n, tau), tau)

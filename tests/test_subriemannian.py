@@ -389,6 +389,15 @@ class TestConfigValidation:
             "max_refine_rounds": 60, "widen_rounds": 3, "alpha0_cap": 32.0,
         }
 
+    @pytest.mark.parametrize(
+        "name", ["n_directions", "n_alpha0", "confirm_rounds", "alpha0_max", "t_max"]
+    )
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bools_are_not_numbers(self, name, flag):
+        # True would pass as 1 direction or 1.0 of horizon, False as 0 passes
+        with pytest.raises(ValueError, match=name):
+            sr.ShootingConfig(**{name: flag})
+
     def test_edge_values_accepted(self, s3, heis):
         cfg = sr.ShootingConfig(confirm_rounds=0)
         assert cfg.resolved_t_max(s3) == pytest.approx(1.25 * math.pi, rel=1e-15)
@@ -598,6 +607,11 @@ class TestDistanceOracles:
 
 
 class TestDiameterEstimate:
+    @pytest.mark.parametrize("pairs", [0, -3, 2.5, math.nan, True, np.float64(2.0), "2"])
+    def test_pair_samples_must_be_a_count(self, s3, pairs):
+        with pytest.raises(ValueError, match="pair_samples"):
+            sr.estimate_diameter(s3, pairs)
+
     def test_bound_values(self, s3, s5, heis):
         assert abs(sr.theoretical_diameter_bound(s3) - math.pi) < 1e-12
         assert abs(sr.theoretical_diameter_bound(s5) - math.pi * math.sqrt(2)) < 1e-12
