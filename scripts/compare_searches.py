@@ -41,7 +41,7 @@ CLI_COMMANDS = (
     "cc-distance --model heisenberg --from 0,0,0 --to 1,0,0",
     "cc-distance --model s3 --from 1,0,0,0 --to 0,0,1,0",
     "diameter --pairs 3 --seed 2",
-    "diameter --pairs 3 --seed 2 --threads 2",
+    "cc-distance --model s5 --from 1,0,0,0,0,0 --to 0,0,1,0,0,0",
     "myers-verify --pairs 2",
     "second-variation --seed 3",
     "second-variation --model s5 --seed 3",

@@ -550,7 +550,6 @@ def build_parser() -> _Parser:
 
     p = add("diameter", _cmd_diameter, "diameter estimate over random pairs")
     p.add_argument("--pairs", type=_count, default=10)
-    p.add_argument("--threads", type=_count, default=1, help="accepted and ignored")
 
     add("second-variation", _cmd_second_variation, "variation identities and energies")
 

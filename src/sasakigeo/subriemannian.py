@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cache
 from typing import ClassVar
 
 import numpy as np
@@ -493,21 +494,129 @@ def _scan_directions(h, count, rng):
     attraction basin from the coarse scan.  With horizontal rank 2 the
     directions form a circle, so an evenly spaced grid with a random offset
     bounds the largest gap by 2 pi / count; for higher rank, scrambled Sobol
-    points pushed through the normal map give quasi-uniform coverage of the
-    direction sphere.  Both stay deterministic in ``rng`` and change with it
-    across widen/confirm passes.
-
-    ``scipy.stats`` is imported here, on the first scan of rank above 2 (s5
-    and larger spheres), and not with the package: it is the package's only
-    scipy use and costs about half a second, which every rank-2 search and
-    every CLI command would otherwise pay at start-up.
+    points pushed through the normal map (:func:`_sobol_normal`) give
+    quasi-uniform coverage of the direction sphere.  Both stay deterministic
+    in ``rng`` and change with it across widen/confirm passes.
     """
     if h == 2:
         ang = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi * np.arange(count) / count
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    from scipy.stats import qmc
+    return _unit(_sobol_normal(h, count, rng))
 
-    return _unit(qmc.MultivariateNormalQMC(np.zeros(h), seed=rng).random(count))
+
+# Sobol' sequence of 30-bit points with the Joe-Kuo direction numbers (SIAM J.
+# Sci. Comput. 30, 2008) of its first ranks: primitive polynomial and initial
+# direction numbers of each coordinate; the first coordinate is all ones.
+_SOBOL_BITS = 30
+_SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25, 37)
+_SOBOL_VINIT = ((), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13), (1, 1, 5, 5, 17))
+_MSB_FIRST = 1 << np.arange(_SOBOL_BITS - 1, -1, -1)
+
+
+@cache
+def _sobol_direction_bits():
+    """Direction numbers ``v[d, j]`` as bits ``(rank, 30, 30)``, most significant first.
+
+    Coordinate ``d`` continues its initial numbers by the Bratley-Fox
+    recurrence of its polynomial, and column ``j`` is shifted to bit ``29 - j``.
+    Built on the first scan of rank above 2, not at import, so that runs
+    without one do not hold its temporaries.
+    """
+    rows = []
+    for poly, vinit in zip(_SOBOL_POLY, _SOBOL_VINIT):
+        m = poly.bit_length() - 1
+        v = list(vinit) if m else [1] * _SOBOL_BITS
+        for j in range(len(v), _SOBOL_BITS):
+            new = v[j - m]
+            for k in range(m):
+                if (poly >> (m - 1 - k)) & 1:
+                    new ^= v[j - k - 1] << (k + 1)
+            v.append(new)
+        rows.append([vj << (_SOBOL_BITS - 1 - j) for j, vj in enumerate(v)])
+    bits = (np.array(rows)[..., None] & _MSB_FIRST) != 0
+    bits.setflags(write=False)  # shared by every call
+    return bits
+
+# Cephes ``ndtri``: the rational approximations for |y - 1/2| <= 1/2 - exp(-2)
+# and for exp(-32) < y < exp(-2).  The denominators lead with 1.0: ``1.0 * x``
+# is ``x`` exactly, so Horner's rule over them is Cephes' ``p1evl``.
+_NDTRI_E2 = 0.13533528323661269189
+_NDTRI_S2PI = 2.50662827463100050242e0
+_NDTRI_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (
+    1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_NDTRI_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (
+    1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+
+
+def _polevl(x, coef):
+    """Horner's rule, leading coefficient first."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y0):
+    """Inverse normal CDF of values in ``[exp(-32), 1 - exp(-32)]``, as Cephes computes it.
+
+    Cephes' branches and order of operations, so each value is scipy's
+    ``ndtri`` bit for bit; ``math.log`` is the C library's ``log``, which
+    ``np.log`` is not in the last place.  The branch for ``y < exp(-32)`` is
+    left out: the Sobol' points keep ``y`` above 5e-11.
+    """
+    flip = y0 > 1.0 - _NDTRI_E2
+    y = np.where(flip, 1.0 - y0, y0)
+    x = np.empty_like(y)
+    mid = y > _NDTRI_E2
+    c = y[mid] - 0.5
+    c2 = c * c
+    x[mid] = (c + c * (c2 * _polevl(c2, _NDTRI_P0) / _polevl(c2, _NDTRI_Q0))) * _NDTRI_S2PI
+    r = np.sqrt(-2.0 * np.array([math.log(v) for v in y[~mid].tolist()]))
+    z = 1.0 / r
+    log_r = np.array([math.log(v) for v in r.tolist()])
+    t = r - log_r / r - z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1)
+    x[~mid] = np.where(flip[~mid], t, -t)
+    return x
+
+
+def _sobol_normal(h, count, rng):
+    """``count`` scrambled Sobol' points of ``R^h`` through the inverse normal CDF.
+
+    The same array as ``scipy.stats.qmc.MultivariateNormalQMC(np.zeros(h),
+    seed=rng).random(count)``, bit for bit, and ``rng`` is left as scipy
+    leaves it: the scramble is drawn from one child spawned off ``rng``.  It
+    is Matousek's random linear scramble (J. Complexity 14, 1998): a unit
+    lower-triangular bit matrix per coordinate applied to its direction
+    numbers, then a random digital shift.  Point ``k`` XORs the shift with
+    the scrambled numbers of the set bits of the Gray code of ``k``.
+    """
+    if h > len(_SOBOL_POLY):
+        limit = len(_SOBOL_POLY)
+        raise ValueError(f"Sobol' scan directions are tabulated for rank <= {limit}, got {h}")
+    child = rng.spawn(1)[0]
+    shift = child.integers(2, size=(h, _SOBOL_BITS), dtype=np.uint32) @ (1 << np.arange(_SOBOL_BITS))
+    ltm = np.tril(child.integers(2, size=(h, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    ltm[:, np.arange(_SOBOL_BITS), np.arange(_SOBOL_BITS)] = 1
+    v = (_sobol_direction_bits()[:h] @ ltm.transpose(0, 2, 1)) & 1
+    k = np.arange(count)
+    gray = ((k ^ (k >> 1))[:, None] >> np.arange(_SOBOL_BITS)) & 1
+    u = (((np.einsum("kj,djp->kdp", gray, v) & 1) @ _MSB_FIRST) ^ shift) * 2.0**-_SOBOL_BITS
+    return _ndtri(0.5 + (1 - 1e-10) * (u - 0.5))
 
 
 def cc_distance(

@@ -1,10 +1,10 @@
-"""The package imports without scipy, and loads it only for scans of rank above 2.
+"""The library imports no scipy, at start-up or in any search.
 
 Importing scipy costs about half a second, several times the rest of the
-package, so module-level imports stay numpy-only: the quadratures are numpy
-(``numdiff._simpson``, ``numdiff._cumulative_trapezoid``), and
-``subriemannian._scan_directions`` imports ``scipy.stats`` on the first
-direction scan of rank above 2.  Each check runs in a fresh interpreter,
+package, and the library needs none of it: the quadratures are numpy
+(``numdiff._simpson``, ``numdiff._cumulative_trapezoid``), and so is the
+Sobol' sampler of the rank > 2 scan directions
+(``subriemannian._sobol_normal``).  Each check runs in a fresh interpreter,
 because this test process has scipy loaded already.
 """
 
@@ -57,12 +57,12 @@ def _run_probe(tmp_path):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def test_scipy_stays_off_the_import_path_until_a_rank_four_scan(tmp_path):
+def test_the_library_imports_no_scipy(tmp_path):
     seen = _run_probe(tmp_path)
     assert seen["import"] == []
     for command in ("cc-distance", "second-variation", "functionals"):
         code, loaded = seen[command]
         assert code == 0, command
         assert loaded == [], command
-    # the one deferred use: the quasi-random directions of the s5 scan
-    assert "scipy.stats" in seen["s5"]
+    # the quasi-random directions of the s5 scan
+    assert seen["s5"] == []

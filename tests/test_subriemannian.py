@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -604,6 +605,43 @@ class TestDistanceOracles:
         b = sr.cc_distance(heis, np.zeros(3), np.array([0.4, 0.3, 0.2]), cfg)
         assert a.distance == b.distance
         assert a.miss == b.miss
+
+
+class TestSobolDirections:
+    """The rank > 2 scan directions against scipy's sampler, the independent route."""
+
+    @pytest.mark.parametrize("count", [1, 2, 5, 12, 32, 33, 100])
+    @pytest.mark.parametrize("h", [4, 6, 8])
+    def test_matches_scipy_bit_for_bit(self, h, count):
+        from scipy.stats import qmc
+
+        for seed in range(5):
+            for round_id in range(4):
+                ours = np.random.default_rng([seed, 0x5EED, round_id])
+                ref = np.random.default_rng([seed, 0x5EED, round_id])
+                with warnings.catch_warnings():
+                    # the balance warning for counts that are not powers of 2
+                    warnings.simplefilter("ignore")
+                    expected = qmc.MultivariateNormalQMC(np.zeros(h), seed=ref).random(count)
+                assert np.array_equal(sr._sobol_normal(h, count, ours), expected)
+                assert ours.bit_generator.state == ref.bit_generator.state
+                assert (
+                    ours.bit_generator.seed_seq.n_children_spawned
+                    == ref.bit_generator.seed_seq.n_children_spawned
+                )
+
+    def test_rank_above_the_table_is_refused(self):
+        with pytest.raises(ValueError, match="rank <= 8, got 10"):
+            sr._sobol_normal(10, 4, np.random.default_rng(0))
+
+    def test_s5_search_warns_nothing(self, s5):
+        # scipy's sampler warned on every scan of a count that is not a
+        # power of 2, which a warnings filter set to "error" turned into a
+        # failed search
+        p, q = s5.random_points(np.random.default_rng(7), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sr.cc_distance(s5, p, q, sr.ShootingConfig(n_directions=12))
 
 
 class TestDiameterEstimate:
