@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import qmc
 
 from sasakigeo import dhomothety as dh, models, subriemannian as sr
 
@@ -613,8 +614,6 @@ class TestSobolDirections:
     @pytest.mark.parametrize("count", [1, 2, 5, 12, 32, 33, 100])
     @pytest.mark.parametrize("h", [4, 6, 8])
     def test_matches_scipy_bit_for_bit(self, h, count):
-        from scipy.stats import qmc
-
         for seed in range(5):
             for round_id in range(4):
                 ours = np.random.default_rng([seed, 0x5EED, round_id])
