@@ -14,12 +14,15 @@ is recorded with its exit code, not dropped.
 
 ``--repo`` names the checkout whose benchmark runs (default: this one); the
 record goes to the first unused ``BENCH_<n>.json`` at its root.  Each
-workload's entry holds the checkout's side under ``change``.  The
-benchmark imports the program from the checkout's ``src/``, in the
-interpreter that runs this script.
+workload's entry holds the checkout's side under ``change``.  That side
+runs from a copy of the checkout's working tree in a temporary directory:
+the files ``git ls-files --cached --others --exclude-standard`` lists, with
+their uncommitted edits.  The benchmark imports the program from the
+copy's ``src/``, in the interpreter that runs this script.
 
 ``--base`` pairs the record with the revision ``REV`` of the checkout's git
-history, exported by ``git archive`` into a temporary directory.  Base and
+history, exported by ``git archive`` into a temporary directory, so both
+sides run from fresh directories.  Base and
 change then alternate seed by seed, with the side that runs first switching
 from one seed to the next, and each workload also records the base's side
 under ``base`` and, under ``pairs`` per end-to-end metric, the change's
@@ -34,6 +37,7 @@ import contextlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -59,6 +63,25 @@ def export(repo, rev, dest):
     if archive.wait() != 0:
         raise RuntimeError(f"git archive {rev} failed with exit code {archive.returncode}")
     return head
+
+
+def copy_worktree(repo, dest):
+    """Copy the files of ``repo``'s working tree that git lists into ``dest``.
+
+    Those are the tracked files as they are on disk and the untracked files
+    that are not ignored; a tracked file deleted from the disk is left out.
+    """
+    listed = subprocess.run(
+        ["git", "-C", repo, "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        capture_output=True, text=True, check=True,
+    ).stdout.split("\0")
+    for name in sorted(set(filter(None, listed))):
+        source = os.path.join(repo, name)
+        if not os.path.isfile(source):
+            continue
+        target = os.path.join(dest, name)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        shutil.copy2(source, target)
 
 
 def git_head(repo):
@@ -180,8 +203,10 @@ def main(argv=None):
         "seeds": list(SEEDS),
         "trace_seed": TRACE_SEED,
     }
-    sides = {"change": repo}
     with contextlib.ExitStack() as stack:
+        change_dir = stack.enter_context(tempfile.TemporaryDirectory(prefix="bench-change-"))
+        copy_worktree(repo, change_dir)
+        sides = {"change": change_dir}
         if args.base:
             base_dir = stack.enter_context(tempfile.TemporaryDirectory(prefix="bench-base-"))
             sides = {"base": base_dir, **sides}

@@ -4,7 +4,8 @@
     python3 scripts/compare_searches.py [--base REV]
 
 Runs the same 121 searches on both trees and prints, for each set, the
-status changes and the largest |Δdistance| between the two.  The sets are
+status changes, the largest |Δdistance| and |Δmiss| between the two, and
+the refine rounds summed over the set on each tree.  The sets are
 acceptance 04's 50 pairs on each of s3 and s5 (seed 7), acceptance 08's 10
 ``s3-dhom:2.0`` riem pairs (seed 11), 10 Heisenberg pairs (seed 3) and the
 Heisenberg unit translation ``0 -> (1, 0, 0)``, all at the default config
@@ -19,7 +20,8 @@ other lacks, any changed value that is not a number, and the largest
 directory, and each tree runs in its own interpreter on its own ``src/``,
 one after the other.  Exits 1 if any status changed, if a set has a
 different number of pairs, or if a command changed its exit code, a key or a
-value that is not a number.
+value that is not a number; moved numbers, misses and round totals are
+printed, not failed.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ CLI_COMMANDS = (
 )
 
 # Run in each tree's own interpreter, with the commands as its arguments:
-# prints {"searches": {set: [[status, distance], ...]},
+# prints {"searches": {set: [[status, distance, miss, rounds], ...]},
 #         "cli": {command: [exit code, report or null]}}.
 _RECORD = """
 import contextlib
@@ -62,9 +64,12 @@ import sys
 import numpy as np
 from sasakigeo import cli, models, subriemannian as sr
 
+def row(r):
+    return [r.status, r.distance, r.miss, r.rounds]
+
 def pairs(key, count, **cfg):
     rep = sr.estimate_diameter(models.get_model(key), count, sr.ShootingConfig(**cfg))
-    return [[pr.result.status, pr.result.distance] for pr in rep.pairs]
+    return [row(pr.result) for pr in rep.pairs]
 
 heis = models.get_model("heisenberg")
 unit = sr.cc_distance(heis, np.zeros(3), np.array([1.0, 0.0, 0.0]))
@@ -73,7 +78,7 @@ searches = {
     "s5": pairs("s5", 50, seed=7),
     "s3-dhom:2.0-riem": pairs("s3-dhom:2.0", 10, seed=11, mode="riem"),
     "heisenberg": pairs("heisenberg", 10, seed=3),
-    "heisenberg-unit": [[unit.status, unit.distance]],
+    "heisenberg-unit": [row(unit)],
 }
 
 def run_cli(command):
@@ -96,23 +101,28 @@ def record(tree):
 
 
 def compare(base, change):
-    """Per set of ``base``: its pair count in both records, status changes and largest |Δdistance|.
+    """Per set of ``base``: its pair count in both records, status changes, the
+    largest |Δdistance| and |Δmiss| and the summed refine rounds of each record.
 
     A status change is ``(index, base status, change status)``.  The largest
-    gap is taken over the pairs with a distance on both sides, and is
-    ``None`` when there is none.
+    distance gap is taken over the pairs with a distance on both sides, and
+    is ``None`` when there is none; the miss gap over the pairs both records
+    hold.
     """
     out = {}
     for name, base_rows in base.items():
         change_rows = change.get(name, [])
-        changes, gaps = [], []
-        for i, ((sb, db), (sc, dc)) in enumerate(zip(base_rows, change_rows)):
+        changes, gaps, miss_gaps = [], [], []
+        for i, ((sb, db, mb, _), (sc, dc, mc, _)) in enumerate(zip(base_rows, change_rows)):
             if sb != sc:
                 changes.append((i, sb, sc))
             if db is not None and dc is not None:
                 gaps.append(abs(dc - db))
+            miss_gaps.append(abs(mc - mb))
         out[name] = {"pairs": (len(base_rows), len(change_rows)), "status_changes": changes,
-                     "max_gap": max(gaps, default=None)}
+                     "max_gap": max(gaps, default=None),
+                     "max_miss_gap": max(miss_gaps, default=None),
+                     "rounds": (sum(r[3] for r in base_rows), sum(r[3] for r in change_rows))}
     return out
 
 
@@ -185,7 +195,8 @@ def main(argv=None):
     print(f"base {args.base} ({head[:12]}) against this checkout")
     for name, s in summary.items():
         print(f"{name:18s} pairs {s['pairs'][0]:3d}/{s['pairs'][1]:<3d} "
-              f"status changes {len(s['status_changes'])}  max |Δdistance| {_gap(s)}")
+              f"status changes {len(s['status_changes'])}  max |Δdistance| {_gap(s)}  "
+              f"max |Δmiss| {_gap(s, 'max_miss_gap')}  rounds {s['rounds'][0]}/{s['rounds'][1]}")
         for i, sb, sc in s["status_changes"]:
             print(f"    pair {i}: {sb} -> {sc}")
     cli_summary = compare_cli(base["cli"], change["cli"])
@@ -199,8 +210,8 @@ def main(argv=None):
     return 1 if failed(summary) or cli_failed(cli_summary) else 0
 
 
-def _gap(s):
-    return "-" if s["max_gap"] is None else f"{s['max_gap']:.3e}"
+def _gap(s, key="max_gap"):
+    return "-" if s[key] is None else f"{s[key]:.3e}"
 
 
 if __name__ == "__main__":

@@ -75,6 +75,21 @@ _SINC_SERIES = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(8))
 _G_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(8))
 
 
+def _cos_sin(rate, t):
+    """``cos(rate t)`` and ``sin(rate t)`` of the rows ``rate`` (rows, 1) at the times ``t``.
+
+    When every row shares one time row ``t`` (1, K), as in the coarse scan,
+    each distinct rate is evaluated once and gathered: equal rates give
+    equal arguments, so the bits are those of the row-by-row evaluation.
+    """
+    if rate.ndim == 2 and t.ndim == 2 and t.shape[0] == 1 < rate.shape[0]:
+        distinct, inverse = np.unique(rate.ravel(), return_inverse=True)
+        arg = distinct[:, None] * t
+        return np.cos(arg)[inverse], np.sin(arg)[inverse]
+    arg = rate * t
+    return np.cos(arg), np.sin(arg)
+
+
 class SphereModel(SasakiModel):
     """Round Sasakian sphere S^{2n+1} in R^{2n+2}."""
 
@@ -83,8 +98,11 @@ class SphereModel(SasakiModel):
             raise ValueError("need n >= 1")
         self.n = n
         self.key = f"s{2 * n + 1}"
-        # v @ self._JT == self._J(v)
-        self._JT = self._J(np.eye(self.ambient_dim))
+        # state @ self._lift == (x, a, Jx, Ja) for a state row (x, a), as J
+        # pairs coordinates within each half; every entry is 0 or +-1, so the
+        # product is exact
+        eye = np.eye(2 * self.ambient_dim)
+        self._lift = np.concatenate((eye, self._J(eye)), axis=1)
 
     @property
     def tau(self) -> float:
@@ -154,7 +172,7 @@ class SphereModel(SasakiModel):
     def _weighted_rhs(self, state, reeb_weight):
         # linear in W = (x, a, Jx, Ja), with weights read off its Gram entries
         Y = state.reshape(state.shape[:-1] + (2, self.ambient_dim))
-        W = np.concatenate((Y, Y @ self._JT), axis=-2)
+        W = (state @ self._lift).reshape(state.shape[:-1] + (4, self.ambient_dim))
         G = Y @ W.swapaxes(-1, -2)
         C = (G.reshape(G.shape[:-2] + (8,)) @ _field_map(reeb_weight)).reshape(G.shape)
         return (C @ W).reshape(state.shape)
@@ -168,28 +186,28 @@ class SphereModel(SasakiModel):
         return out
 
     # -- exact flow --------------------------------------------------------
-    def _flow_setup(self, x0, a, t, reeb_weight):
-        """``W`` (..., d) and the angles ``w t``, ``theta`` (..., K) of the exact flow.
+    def _flow_setup(self, x0, a, reeb_weight):
+        """``W`` (..., d) and the rates ``w``, ``r`` (..., 1) of the exact flow.
 
         The flow of ``H_sub + reeb_weight a0^2 / 2`` from the rows ``(x0,
-        a)`` is ``e^{theta J}(cos(w t) x0 + sin(w t) W)`` with ``theta =
-        (reeb_weight - 1) a0 t``: the sub flow's rotation, then the Reeb
-        flow, as one rotation.  ``a0`` is the Reeb momentum of ``a``.  Its
-        tangent part ``v = u + a0 J x0``, with ``u`` the horizontal velocity,
-        gives ``w = |v| = sqrt(|u|^2 + a0^2)`` and ``W = v / w``.
+        a)`` is ``e^{r t J}(cos(w t) x0 + sin(w t) W)`` with ``r =
+        (reeb_weight - 1) a0``: the sub flow's rotation, then the Reeb flow,
+        as one rotation.  ``a0`` is the Reeb momentum of ``a``.  Its tangent
+        part ``v = u + a0 J x0``, with ``u`` the horizontal velocity, gives
+        ``w = |v| = sqrt(|u|^2 + a0^2)`` and ``W = v / w``.
         """
-        t = np.asarray(t, dtype=float)
         v = self.tangent_project(x0, a)
         w = np.sqrt(_dot(v, v))[..., None]
-        theta = ((reeb_weight - 1.0) * self.alpha0(x0, a)[..., None]) * t
-        return v / w, w * t, theta
+        return v / w, w, (reeb_weight - 1.0) * self.alpha0(x0, a)[..., None]
 
     def _flow_points(self, x0, a, t, reeb_weight):
         """Positions (..., K, d) of the exact flow of :meth:`_flow_setup`."""
         x0 = np.asarray(x0, dtype=float)
-        W, wt, theta = self._flow_setup(x0, a, t, reeb_weight)
+        t = np.asarray(t, dtype=float)
+        W, w, r = self._flow_setup(x0, a, reeb_weight)
+        wt = w * t
         c = np.cos(wt)[..., None] * x0[..., None, :] + np.sin(wt)[..., None] * W[..., None, :]
-        return self.reeb_flow(c, theta)
+        return self.reeb_flow(c, r * t)
 
     def _flow_sq_distances(self, x0, a, t, q, reeb_weight):
         """Squared distances from ``q`` in closed form, without the positions.
@@ -197,16 +215,18 @@ class SphereModel(SasakiModel):
         As ``J`` is skew, ``<e^{theta J} y, q> = cos(theta) <y, q> - sin(theta)
         <y, J q>``, so each row of :meth:`_flow_setup` needs the four
         projections of ``x0`` and ``W`` on ``q`` and ``J q``, and each sample
-        the cosines and sines of ``w t`` and ``theta``.  The flow keeps ``|x|
-        = |x0|``.
+        the cosines and sines of ``w t`` and ``theta = r t``.  The flow keeps
+        ``|x| = |x0|``.
         """
         x0 = np.asarray(x0, dtype=float)
-        W, wt, theta = self._flow_setup(x0, a, t, reeb_weight)
+        t = np.asarray(t, dtype=float)
+        W, w, r = self._flow_setup(x0, a, reeb_weight)
         Jq = self._J(q)
         xq, xJq = _dot(x0, q)[..., None], _dot(x0, Jq)[..., None]
         Wq, WJq = _dot(W, q)[..., None], _dot(W, Jq)[..., None]
-        c, s = np.cos(wt), np.sin(wt)
-        inner = np.cos(theta) * (c * xq + s * Wq) - np.sin(theta) * (c * xJq + s * WJq)
+        c, s = _cos_sin(w, t)
+        cos_r, sin_r = _cos_sin(r, t)
+        inner = cos_r * (c * xq + s * Wq) - sin_r * (c * xJq + s * WJq)
         return (_dot(x0, x0) + _dot(q, q))[..., None] - 2.0 * inner
 
     def reeb_flow(self, x, theta):

@@ -16,15 +16,15 @@ approaches ask the model for squared distances to the target
 (``flow_sq_distances``), a block of samples at a time, without positions;
 Newton takes the endpoints themselves (``flow_points``).
 Certification always integrates the connecting geodesic by RK4 to the flight
-time the search found, with step doubling run as the two rows of one RK4
-run: the reported ``miss`` is the fine endpoint's distance to the target
-plus the Richardson estimate of the integration error there, and the
-reported length is that flight time.  A candidate whose exact flow already
-misses by more than ``hit_tol``, or whose flight time is not positive, is not
-integrated and is never a hit: no zero-length connection is reported between
-distinct points.  The search's steps, tolerances and budgets other than the
-coarse grid, the horizon and the confirmation passes are
-:class:`ShootingConfig` class constants.
+time the search found, with step doubling run as two rows of one RK4 run:
+the reported ``miss`` is the fine endpoint's distance to the target plus the
+Richardson estimate of the integration error there, and the reported length
+is that flight time.  A candidate whose exact flow already misses by more
+than ``hit_tol``, or whose flight time is not positive, is not integrated
+and is never a hit: no zero-length connection is reported between distinct
+points.  The search's steps, tolerances and budgets other than the coarse
+grid, the horizon and the confirmation passes are :class:`ShootingConfig`
+class constants.
 
 Distances are estimated by shooting: a coarse grid over unit horizontal
 directions crossed with a Reeb-momentum grid, whose trajectories are ranked
@@ -32,6 +32,11 @@ by their closest approach to the target (sampled, with sub-step parabolic
 interpolation).  A compass (pattern) search on (direction, a0) walks the best
 seeds into their basins on the same sampled closest approaches; Newton on
 (direction, a0, flight time) then puts the exact endpoint on the target.
+The seeds of a pass are refined in lockstep, as lanes of one array program:
+each round makes one flow call for the probes of every lane still walking
+and two for the Jacobian and trial rows of every lane in Newton, while the
+steps whose bits depend on the shape of a BLAS call stay per lane, so each
+lane is the seed's own refine bit for bit.
 Directions are unit rows ``c`` of frame coordinates in the orthonormal
 horizontal frame at the start point ``p``; one linear chart per search pass
 turns ``(c, a0)`` into unit-speed covectors, and between chart evaluations
@@ -39,6 +44,13 @@ the search calls the model only through its exact flow.  A reported length is
 that of a normal geodesic from ``p`` whose certified miss is within
 ``hit_tol`` of the target, otherwise the search returns a budget-exhausted
 status.
+
+Each pair's search is a generator that yields a certification request for
+every hit it would certify and receives the certified miss.
+:func:`cc_distance` answers one search's requests; :func:`estimate_diameter`
+runs the searches of all its pairs side by side and answers every pending
+request with one RK4 run, whose rows are independent, so each pair's result
+is that of its search alone.
 """
 
 from __future__ import annotations
@@ -183,19 +195,27 @@ def _rk4_rows(model, state, h, iterations, mode):
     Returns the points and covectors, (iterations + 1, rows, d) each, as
     views of one sample buffer.  Rows are independent, so each row's samples
     are those of a one-row run bit for bit; the rows share each step's model
-    calls.  Every step ends with the model's state projection, written
-    straight into the buffer.
+    calls.  The stage arguments and the weighted sum of the stages are
+    written into two buffers, with the operations of ``y + (h / 2) k1`` and
+    ``k1 + 2 k2 + 2 k3 + k4`` in their written order.  Every step ends with
+    the model's state projection, stored straight into the sample buffer.
     """
     h = np.asarray(h, dtype=float)[:, None]
     half, sixth = 0.5 * h, h / 6.0
     ys = np.empty((iterations + 1,) + state.shape)
     ys[0] = y = state
+    rhs, project = model.hamiltonian_rhs, model.project_state
+    add, mul = np.add, np.multiply
+    stage, acc = np.empty_like(ys[0]), np.empty_like(ys[0])
     for i in range(iterations):
-        k1 = model.hamiltonian_rhs(y, mode)
-        k2 = model.hamiltonian_rhs(y + half * k1, mode)
-        k3 = model.hamiltonian_rhs(y + half * k2, mode)
-        k4 = model.hamiltonian_rhs(y + h * k3, mode)
-        ys[i + 1] = model.project_state(y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        k1 = rhs(y, mode)
+        k2 = rhs(add(y, mul(half, k1, out=stage), out=stage), mode)
+        k3 = rhs(add(y, mul(half, k2, out=stage), out=stage), mode)
+        k4 = rhs(add(y, mul(h, k3, out=stage), out=stage), mode)
+        add(k1, mul(2.0, k2, out=acc), out=acc)
+        add(acc, mul(2.0, k3, out=stage), out=acc)
+        add(acc, k4, out=acc)
+        ys[i + 1] = project(add(y, mul(sixth, acc, out=acc), out=acc))
         y = ys[i + 1]
     d = state.shape[-1] // 2
     return ys[..., :d], ys[..., d:]
@@ -412,17 +432,18 @@ class ShootingResult:
 _FLOW_BLOCK = 1 << 14
 
 
-def _closest_sample(d2, h):
+def _closest_sample(d2, h, n_steps):
     """Closest approach from squared distances ``d2[k, i]`` sampled every ``h[i]``.
 
-    Returns (miss_i, t_i) refined by parabolic interpolation of the squared
-    distance through the discrete minimum; a minimum at either end of the
-    samples is taken as it is.  Needs at least three samples.
+    Row ``i`` holds ``n_steps[i] + 1`` samples (a scalar count serves every
+    row), and any sample after them must be ``+inf``.  Returns (miss_i, t_i)
+    refined by parabolic interpolation of the squared distance through the
+    discrete minimum; a minimum at either end of the samples is taken as it
+    is.  Needs at least three samples.
     """
-    n_steps = d2.shape[0] - 1
     rows = np.arange(d2.shape[1])
     idx = np.argmin(d2, axis=0)
-    j = idx.clip(1, n_steps - 1)
+    j = np.clip(idx, 1, np.asarray(n_steps) - 1)
     dm, d0, dp = d2[j - 1, rows], d2[j, rows], d2[j + 1, rows]
     offset = _parabolic_vertex(dm, d0, dp)
     inner = j == idx
@@ -434,16 +455,24 @@ def _closest_sample(d2, h):
 def _batched_closest_approach(model, x0, a0cov, T, n_steps, target, mode):
     """Closest approach to ``target`` along each row's trajectory.
 
-    Rows are sampled every ``T_i / n_steps``, a block of times at a time,
-    and the model gives the squared distances to ``target`` directly.
+    Row ``i`` is sampled at the times ``T_i k / n_i`` for ``k = 0 .. n_i``, as
+    in a one-row call, a block of samples at a time, and the model gives the
+    squared distances to ``target`` directly.  ``T`` and ``n_steps`` are
+    scalars shared by every row, or one value per row; with per-row counts
+    the grids are padded to the longest with ``+inf``.  Shared scalars hand
+    the model one time row for all rows.
     """
-    T = np.asarray(T, dtype=float)
-    d2 = np.empty((n_steps + 1, x0.shape[0]))
+    T = np.reshape(np.asarray(T, dtype=float), (-1, 1))
+    n = np.reshape(n_steps, (-1, 1))
+    last = int(n.max())
+    d2 = np.empty((last + 1, x0.shape[0]))
     width = max(1, _FLOW_BLOCK // x0.shape[0])
-    for k in range(0, n_steps + 1, width):
-        frac = np.arange(k, min(k + width, n_steps + 1)) / n_steps
-        d2[k:k + frac.size] = model.flow_sq_distances(x0, a0cov, T[:, None] * frac, target, mode).T
-    return _closest_sample(d2, T / n_steps)
+    for k in range(0, last + 1, width):
+        frac = np.arange(k, min(k + width, last + 1)) / n
+        d2[k:k + frac.shape[1]] = model.flow_sq_distances(x0, a0cov, T * frac, target, mode).T
+    if n.size > 1:
+        d2[np.arange(last + 1)[:, None] > n[:, 0]] = np.inf
+    return _closest_sample(d2, (T / n)[:, 0], n[:, 0])
 
 
 def _frame_chart(model, p, mode):
@@ -633,6 +662,41 @@ def cc_distance(
     directly by closest approach and flow time.
     """
     cfg = cfg or ShootingConfig()
+    return _run_searches(model, [_pair_search(model, p, q, cfg)])[0]
+
+
+def _run_searches(model, searches):
+    """Drive the generators of :func:`_pair_search` to their results.
+
+    Every pending certification request is answered by one :func:`_certify`
+    run, whichever search made it; the searches share nothing else, so each
+    result is that of its search alone.
+    """
+    results = [None] * len(searches)
+    pending = {}
+
+    def advance(i, miss=None):
+        try:
+            pending[i] = searches[i].send(miss)
+        except StopIteration as done:
+            results[i] = done.value
+
+    for i in range(len(searches)):
+        advance(i)
+    while pending:
+        asked = sorted(pending)
+        misses = _certify(model, [pending.pop(i) for i in asked], ShootingConfig.certify_step)
+        for i, miss in zip(asked, misses):
+            advance(i, miss)
+    return results
+
+
+def _pair_search(model, p, q, cfg):
+    """The search of one pair, as a generator of certification requests.
+
+    It yields ``(state, t, q)`` for each hit it would certify, receives that
+    request's certified miss, and returns the :class:`ShootingResult`.
+    """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     for x in (p, q):
@@ -642,13 +706,13 @@ def cc_distance(
         if res > 1e-9:
             raise ValueError(f"endpoint off the constraint set (residual {res:.3e})")
     if float(np.linalg.norm(p - q)) <= 1e-14:
-        return ShootingResult("converged", 0.0, None, 0.0, None, False, cfg.alpha0_max, True, 0)
+        return ShootingResult("converged", 0.0, None, 0.0, None, False, cfg.alpha0_max, False, 0)
 
     t_max = cfg.resolved_t_max(model)
     A = cfg.alpha0_max
     round_id = 0
     for widen_round in range(cfg.widen_rounds + 1):
-        result = _search_once(model, p, q, cfg, t_max, A, round_id)
+        result = yield from _certified_pass(model, p, q, cfg, t_max, A, round_id)
         round_id += 1
         if result.converged:
             break
@@ -667,7 +731,7 @@ def cc_distance(
         t_cap = best.distance - max(2.0 * cfg.hit_tol, 0.02)
         if t_cap <= 4.0 * cfg.search_step:
             break
-        probe = _search_once(model, p, q, cfg, t_cap, A, round_id)
+        probe = yield from _certified_pass(model, p, q, cfg, t_cap, A, round_id)
         round_id += 1
         if not probe.converged:
             break
@@ -675,7 +739,30 @@ def cc_distance(
     return best
 
 
+def _certified_pass(model, p, q, cfg, t_max, A, round_id):
+    """One search pass, then its hits in rank order until one certifies.
+
+    A generator like :func:`_pair_search`: only hits are certified.  Any
+    other candidate makes no RK4 run, and its exact miss is the one
+    reported.
+    """
+    ranked, rounds = _search_once(model, p, q, cfg, t_max, A, round_id)
+    for miss_c, t_c, cov, a0_c, plateau, hit in ranked:
+        state = CotangentState.make(model, p, cov, cfg.mode)
+        miss = (yield state, t_c, q) if hit else miss_c
+        boundary = abs(a0_c) > 0.95 * A
+        if hit and miss <= cfg.hit_tol:
+            return ShootingResult("converged", t_c, state, miss, a0_c, boundary, A, plateau, rounds)
+    return ShootingResult("budget-exhausted", None, state, miss, a0_c, boundary, A, plateau, rounds)
+
+
 def _search_once(model, p, q, cfg, t_max, A, round_id=0):
+    """The ranked candidates of one search pass and its refine rounds.
+
+    A candidate is ``(miss, t, covector, a0, stalled, hit)``.  The hits come
+    first, shortest first, then the closest non-hit, if any: the others can
+    never be reported.
+    """
     mode = cfg.mode
     # distinct stream from other cfg.seed consumers (e.g. pair sampling), so
     # a direction draw never aliases the Gaussian that generated an endpoint;
@@ -695,8 +782,7 @@ def _search_once(model, p, q, cfg, t_max, A, round_id=0):
     cov = chart(np.repeat(dirs, cfg.n_alpha0, axis=0), A0)
     X0 = np.broadcast_to(p, cov.shape)
     n_coarse = max(16, int(round(t_max / cfg.search_step)))
-    T = np.full(A0.size, t_max)
-    miss, t_at = _batched_closest_approach(model, X0, cov, T, n_coarse, q, mode)
+    miss, t_at = _batched_closest_approach(model, X0, cov, t_max, n_coarse, q, mode)
 
     # Seed set: the overall closest approaches plus the closest approach
     # inside each flow-time band.  Unit-speed covectors make flow time equal
@@ -714,157 +800,220 @@ def _search_once(model, p, q, cfg, t_max, A, round_id=0):
     seen: set[int] = set()
     uniq = [s for s in seeds if not (s in seen or seen.add(s))]
     uniq.sort(key=lambda r: t_at[r])
-
-    refined = []
-    total_rounds = 0
-    for row in uniq:
-        hit_lengths = [c[1] for c in refined if c[0] <= cfg.hit_tol]
-        if hit_lengths and t_at[row] > min(hit_lengths) + 0.2:
-            continue  # seeded longer than a connection already in hand
-        cand = _refine_candidate(
-            model, chart, p, q, dirs[row // cfg.n_alpha0], A0[row], t_at[row], cfg, t_max
-        )
-        total_rounds += cand[5]
-        refined.append(cand)
+    rows = np.array(uniq)
+    miss_r, t_r, c_r, a0_r, stalled_r, total_rounds = _refine_candidate(
+        model, chart, p, q, dirs[rows // cfg.n_alpha0], A0[rows], t_at[rows], cfg, t_max
+    )
+    refined = list(zip(miss_r.tolist(), t_r.tolist(), c_r, a0_r.tolist(), stalled_r.tolist()))
 
     # A candidate is a hit when its exact miss is within hit_tol after a
     # positive flight time: at t <= 0 the connection is p itself, of length
     # 0, which is never a distance between distinct points.
-    def _hit(c):
-        return c[0] <= cfg.hit_tol and c[1] > 0.0
+    def _hit(miss_c, t_c):
+        return miss_c <= cfg.hit_tol and t_c > 0.0
 
     # shortest verified connection wins; with no hits, the closest approach
     def _rank(c):
-        miss_c, t_c, _, a0_c, _, _ = c
-        if _hit(c):
+        miss_c, t_c, _, a0_c, _ = c
+        if _hit(miss_c, t_c):
             return (0, t_c, abs(a0_c), miss_c)
         return (1, miss_c, t_c, abs(a0_c))
 
     refined.sort(key=_rank)
-    last = None
-    for cand in refined:
-        miss_c, t_c, c_c, a0_c, plateau, _ = cand
-        state = CotangentState.make(model, p, chart(c_c[None], [a0_c])[0], mode)
-        # only hits are certified: any other candidate makes no RK4 run, and
-        # its exact miss is the one reported
-        hit = _hit(cand)
-        miss = _certify(model, state, t_c, q, cfg.certify_step) if hit else miss_c
-        boundary = abs(a0_c) > 0.95 * A
-        last = (state, miss, a0_c, boundary, plateau)
-        if hit and miss <= cfg.hit_tol:
-            return ShootingResult(
-                "converged", t_c, state, miss, a0_c, boundary, A, plateau, total_rounds
-            )
+    ranked = []
+    for miss_c, t_c, c_c, a0_c, stalled in refined:
+        hit = _hit(miss_c, t_c)
+        ranked.append((miss_c, t_c, chart(c_c[None], [a0_c])[0], a0_c, stalled, hit))
         if not hit:
             break  # remaining candidates have worse refined misses
-    state, miss, a0_c, boundary, plateau = last
-    return ShootingResult(
-        "budget-exhausted", None, state, miss, a0_c, boundary, A, plateau, total_rounds
-    )
+    return ranked, total_rounds
 
 
-def _certify(model, state, t, q, step):
-    """Certified miss at ``q`` of the geodesic of ``state`` after flight time ``t``.
+def _certify(model, requests, step):
+    """Certified misses of the requests ``(state, t, q)``, in one RK4 run.
 
-    RK4 runs to ``t`` at ``2 step`` and ``step`` (step doubling), as the two
-    rows of one :func:`_rk4_rows` run of ``2 n`` steps; the coarse row
-    reaches ``t`` at its sample ``n``.  The miss is the fine endpoint's
-    distance to ``q`` plus ``16/15`` of the gap between the two endpoints:
-    the Richardson estimate of the coarse path's order-4 error, which bounds
-    the fine path's by a factor 16.  The flight time ``t`` must be positive:
-    the search certifies no zero-length connection.  Only RK4 certifies, so
-    a wrong exact flow can cost a connection but never certify a false one.
+    Request ``j`` is certified at its flight time ``t_j`` by RK4 at ``2
+    step`` and ``step`` (step doubling): its two rows step by ``t_j / n_j``
+    and ``t_j / (2 n_j)``, and read their samples ``n_j`` and ``2 n_j`` of
+    one :func:`_rk4_rows` run of ``2 max n`` steps.  Rows are independent,
+    so each miss is that of the request's own two-row run bit for bit.  The
+    miss is the fine endpoint's distance to ``q`` plus ``16/15`` of the gap
+    between the two endpoints: the Richardson estimate of the coarse path's
+    order-4 error, which bounds the fine path's by a factor 16.  Flight times
+    must be positive: the search certifies no zero-length connection.  Only
+    RK4 certifies, so a wrong exact flow can cost a connection but never
+    certify a false one.
     """
-    n = max(16, int(round(t / (2.0 * step))))
-    rows = np.tile(np.concatenate((state.point, state.covector)), (2, 1))
-    xs, _ = _rk4_rows(model, rows, [t / n, t / (2 * n)], 2 * n, state.mode)
-    end = xs[2 * n, 1]
-    gap = float(np.linalg.norm(xs[n, 0] - end))
-    return float(np.linalg.norm(end - q)) + 16.0 / 15.0 * gap
+    n = [max(16, int(round(t / (2.0 * step)))) for _, t, _ in requests]
+    rows = np.repeat([np.concatenate((st.point, st.covector)) for st, _, _ in requests], 2, axis=0)
+    h = [r for (_, t, _), nj in zip(requests, n) for r in (t / nj, t / (2 * nj))]
+    xs, _ = _rk4_rows(model, rows, h, 2 * max(n), requests[0][0].mode)
+    misses = []
+    for j, ((_, _, q), nj) in enumerate(zip(requests, n)):
+        end = xs[2 * nj, 2 * j + 1]
+        gap = float(np.linalg.norm(xs[nj, 2 * j] - end))
+        misses.append(float(np.linalg.norm(end - q)) + 16.0 / 15.0 * gap)
+    return misses
 
 
-def _refine_candidate(model, chart, p, q, c, a0, t_seed, cfg, t_max):
+_COMPASS, _NEWTON, _DONE, _DROPPED = range(4)
+
+
+def _refine_candidate(model, chart, p, q, C, A0, T0, cfg, t_max):
     """Compass walk on sampled closest approaches, then Newton on (direction, a0, flight time).
 
-    Newton solves ``x(t; c, a0) = q`` on exact endpoints: ``2n + 1`` unknowns,
-    as many as the manifold's dimension (least squares on the spheres' extra
-    ambient row).  A round takes a forward-difference Jacobian from ``2n + 2``
-    rows of one flow call and accepts the first of the steps 1, 1/2, 1/4, 1/8
-    that lowers the miss and keeps ``t`` in ``(0, t_max]``; it stops when none
-    does.  Directions are unit rows ``c`` in the frame coordinates of
-    ``chart``, the only route from them to covectors.  Returns ``(miss, t, c,
-    a0, stalled, rounds)``: the exact miss at flight time ``t`` after Newton,
-    and whether Newton stalled above ``hit_tol``.
+    The seeds of one pass are refined in lockstep as lanes: the rows of
+    ``C`` (directions), ``A0`` and ``T0`` (seeded flight times, in increasing
+    order).  Each round of the walk probes ``+-d_dir`` along each direction
+    basis row and ``+-d_a0``, and moves to the best probe or halves both
+    steps; the walk runs while the miss is above 0.05, for at most 30
+    rounds.  Newton solves ``x(t; c, a0) = q`` on exact endpoints: ``2n + 1``
+    unknowns, as many as the manifold's dimension (least squares on the
+    spheres' extra ambient row).  A round takes a forward-difference
+    Jacobian from ``2n + 2`` rows and accepts the first of the steps 1, 1/2,
+    1/4, 1/8 that lowers the miss and keeps ``t`` in ``(0, t_max]``; it
+    stops when none does.  A tick runs one round of every lane still
+    walking, with one flow call for all their probes, and one round of every
+    lane in Newton, with one flow call for all their Jacobian rows and one
+    for all their trial steps.  The flow and the other elementwise steps
+    act on all lanes at once; the chart product, the direction basis and
+    Newton's solve stay per lane, because the bits of a BLAS call depend on
+    its shape.  So each lane's numbers are those of its refine alone.
+
+    A lane is dropped, and neither refined further nor counted, once an
+    earlier lane has finished within ``hit_tol`` at a flight time more than
+    0.2 below the lane's seed: the seed is longer than a connection in hand.
+    Returns ``(miss, t, c, a0, stalled, rounds)``: per refined lane the exact
+    miss at flight time ``t`` after Newton, its direction and Reeb momentum,
+    and whether Newton stalled above ``hit_tol``, as arrays in lane order,
+    then the rounds summed over those lanes.  Directions are unit rows in the
+    frame coordinates of ``chart``, the only route from them to covectors.
     """
     mode = cfg.mode
     # keep the local horizon tight around the seeded flight time: a generous
     # window lets the closest approach jump to an unrelated longer connection
     # and the walk leaks out of the seeded basin
-    t_loc = min(max(1.15 * t_seed + 0.2, 0.3), t_max)
-    n_steps = max(16, int(round(t_loc / cfg.search_step)))
-
-    def evaluate(cs, a0s):
-        cov = chart(cs, a0s)
-        X0, T = np.broadcast_to(p, cov.shape), np.full(len(cs), t_loc)
-        return _batched_closest_approach(model, X0, cov, T, n_steps, q, mode)
-
-    def endpoints(cs, a0s, ts):
-        cov = chart(cs, a0s)
-        return model.flow_points(np.broadcast_to(p, cov.shape), cov, ts[:, None], mode)[:, 0]
-
+    t_loc = np.minimum(np.maximum(1.15 * T0 + 0.2, 0.3), t_max)
+    n_steps = np.maximum(16, np.rint(t_loc / cfg.search_step).astype(int))
     # riem momenta stay on the unit sphere; sub momenta within alpha0_cap,
     # since near p Newton's a0 column shrinks with t and its steps blow up
     cap = 1.0 if mode == "riem" else cfg.alpha0_cap
-
-    c = _unit(c)
-    miss, t_at = evaluate(c[None], [a0])
-    miss, t_at = float(miss[0]), float(t_at[0])
-    d_dir, d_a0 = 0.25, 0.5
-    rounds = 0
-    compass_cap = min(30, cfg.max_refine_rounds)
-    while rounds < compass_cap and miss > 0.05:
-        rounds += 1
-        # +-d_dir along each basis row in turn, then +-d_a0
-        B = _direction_basis(c)
-        moved = _unit(np.stack([c + d_dir * B, c - d_dir * B], axis=1).reshape(-1, c.size))
-        probes_c = np.vstack([moved, c, c])
-        probes_a = [a0] * len(moved) + [min(a0 + d_a0, cap), max(a0 - d_a0, -cap)]
-        pm, pt = evaluate(probes_c, probes_a)
-        k = int(np.argmin(pm))
-        if float(pm[k]) < miss:
-            c, a0 = probes_c[k], probes_a[k]
-            miss, t_at = float(pm[k]), float(pt[k])
-        else:
-            d_dir *= 0.5
-            d_a0 *= 0.5
-            if d_dir < 1e-4:
-                break
-
-    # Newton on (c, a0, t): the centre row, then one forward-difference row
-    # per unknown (the direction basis, a0, t), each row at its own time
     eps = 1e-6
     halvings = 0.5 ** np.arange(4)
-    stalled = False
-    while rounds < cfg.max_refine_rounds:
-        rounds += 1
-        B = _direction_basis(c)
-        cs = np.vstack([c, _unit(c + eps * B), c, c])
-        a0s = np.array([a0] * (len(B) + 1) + [a0 + eps, a0])
-        ts = np.array([t_at] * (len(B) + 2) + [t_at + eps])
-        X = endpoints(cs, a0s, ts)
-        miss = float(np.linalg.norm(X[0] - q))
-        delta = np.linalg.lstsq((X[1:] - X[0]).T / eps, q - X[0], rcond=None)[0]
-        trial_c = _unit(c + np.outer(halvings, delta[:-2] @ B))
-        trial_a = np.clip(a0 + halvings * delta[-2], -cap, cap)
-        trial_t = t_at + halvings * delta[-1]
-        trial_miss = np.linalg.norm(endpoints(trial_c, trial_a, trial_t) - q, axis=-1)
-        better = (trial_t > 0.0) & (trial_t <= t_max) & (trial_miss < miss)
-        if not better.any():
-            stalled = miss > cfg.hit_tol
+    compass_cap = min(30, cfg.max_refine_rounds)
+
+    def covectors(cs, a0s):
+        return np.concatenate([chart(ci, ai) for ci, ai in zip(cs, a0s)])
+
+    def split(values, sizes):
+        ends = np.cumsum(sizes).tolist()
+        return [values[end - size:end] for size, end in zip(sizes, ends)]
+
+    def closest(lanes, cs, a0s):
+        """Each lane's sampled closest approaches of its probe rows, in one flow call."""
+        cov, sizes = covectors(cs, a0s), [len(ci) for ci in cs]
+        m, tt = _batched_closest_approach(
+            model, np.broadcast_to(p, cov.shape), cov, np.repeat(t_loc[lanes], sizes),
+            np.repeat(n_steps[lanes], sizes), q, mode,
+        )
+        return split(m, sizes), split(tt, sizes)
+
+    def endpoints(cs, a0s, ts):
+        """Each lane's exact endpoints at its own times, in one flow call."""
+        cov = covectors(cs, a0s)
+        X = model.flow_points(np.broadcast_to(p, cov.shape), cov, np.concatenate(ts)[:, None], mode)
+        return split(X[:, 0], [len(ci) for ci in cs])
+
+    lanes = len(T0)
+    c = _unit(np.asarray(C, dtype=float))
+    a0 = np.array(A0, dtype=float)
+    every = np.arange(lanes)
+    pm, pt = closest(every, c[:, None], a0[:, None])
+    miss, t_at = np.concatenate(pm), np.concatenate(pt)
+    d_dir, d_a0 = np.full(lanes, 0.25), np.full(lanes, 0.5)
+    rounds = np.zeros(lanes, dtype=int)
+    stalled = np.zeros(lanes, dtype=bool)
+    phase = np.full(lanes, _COMPASS)
+
+    def next_phase(i):
+        if phase[i] == _COMPASS and not (rounds[i] < compass_cap and miss[i] > 0.05):
+            phase[i] = _NEWTON
+        if phase[i] == _NEWTON and rounds[i] >= cfg.max_refine_rounds:
+            phase[i] = _DONE
+
+    for i in every:
+        next_phase(i)
+    while True:
+        # the skip rule of a lane-by-lane refine in seed order: a lane kept
+        # there has no earlier hit shorter than its seed by 0.2, and a lane
+        # dropped here has one, itself kept or dropped by a kept one
+        running = (phase == _COMPASS) | (phase == _NEWTON)
+        for i in np.flatnonzero((phase == _DONE) & (miss <= cfg.hit_tol)):
+            phase[running & (every > i) & (T0 > t_at[i] + 0.2)] = _DROPPED
+        walking = np.flatnonzero(phase == _COMPASS)
+        newton = np.flatnonzero(phase == _NEWTON)
+        if not (walking.size or newton.size):
             break
-        k = int(np.argmax(better))
-        c, a0, t_at, miss = trial_c[k], trial_a[k], float(trial_t[k]), float(trial_miss[k])
-    return miss, t_at, c, a0, stalled, rounds
+
+        if walking.size:
+            probes = []
+            for i in walking:
+                rounds[i] += 1
+                # +-d_dir along each basis row in turn, then +-d_a0
+                B = _direction_basis(c[i])
+                moved = _unit(np.stack([c[i] + d_dir[i] * B, c[i] - d_dir[i] * B], axis=1)
+                              .reshape(-1, c.shape[1]))
+                probes.append((np.vstack([moved, c[i], c[i]]),
+                               [a0[i]] * len(moved)
+                               + [min(a0[i] + d_a0[i], cap), max(a0[i] - d_a0[i], -cap)]))
+            pm, pt = closest(walking, *zip(*probes))
+            for i, (probes_c, probes_a), pm_i, pt_i in zip(walking, probes, pm, pt):
+                k = int(np.argmin(pm_i))
+                if pm_i[k] < miss[i]:
+                    c[i], a0[i] = probes_c[k], probes_a[k]
+                    miss[i], t_at[i] = pm_i[k], pt_i[k]
+                else:
+                    d_dir[i] *= 0.5
+                    d_a0[i] *= 0.5
+                    if d_dir[i] < 1e-4:
+                        phase[i] = _NEWTON
+                next_phase(i)
+
+        if newton.size:
+            # Newton on (c, a0, t): the centre row, then one forward-difference
+            # row per unknown (the direction basis, a0, t), each row at its own time
+            bases = [_direction_basis(c[i]) for i in newton]
+            X = endpoints(*zip(*(
+                (np.vstack([c[i], _unit(c[i] + eps * B), c[i], c[i]]),
+                 [a0[i]] * (len(B) + 1) + [a0[i] + eps, a0[i]],
+                 [t_at[i]] * (len(B) + 2) + [t_at[i] + eps])
+                for i, B in zip(newton, bases)
+            )))
+            trials = []
+            for i, B, X_i in zip(newton, bases, X):
+                rounds[i] += 1
+                miss[i] = np.linalg.norm(X_i[0] - q)
+                delta = np.linalg.lstsq((X_i[1:] - X_i[0]).T / eps, q - X_i[0], rcond=None)[0]
+                trials.append((_unit(c[i] + np.outer(halvings, delta[:-2] @ B)),
+                               np.clip(a0[i] + halvings * delta[-2], -cap, cap),
+                               t_at[i] + halvings * delta[-1]))
+            trial_X = endpoints(*zip(*trials))
+            for i, (trial_c, trial_a, trial_t), X_i in zip(newton, trials, trial_X):
+                trial_miss = np.linalg.norm(X_i - q, axis=-1)
+                better = (trial_t > 0.0) & (trial_t <= t_max) & (trial_miss < miss[i])
+                if not better.any():
+                    stalled[i] = miss[i] > cfg.hit_tol
+                    phase[i] = _DONE
+                    continue
+                k = int(np.argmax(better))
+                c[i], a0[i], t_at[i], miss[i] = trial_c[k], trial_a[k], trial_t[k], trial_miss[k]
+                next_phase(i)
+
+    kept = []
+    for i in every:
+        if not any(miss[j] <= cfg.hit_tol and T0[i] > t_at[j] + 0.2 for j in kept):
+            kept.append(i)
+    return miss[kept], t_at[kept], c[kept], a0[kept], stalled[kept], int(rounds[kept].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -902,9 +1051,11 @@ def estimate_diameter(
     """Max of converged pairwise distance bounds over seeded random pairs.
 
     Pairs that exhaust the search budget are flagged and excluded from the
-    max, marking the report partial.  The pairs run one after another in the
-    calling process.  ``threads`` is accepted and ignored, kept so that
-    callers passing it keep working.
+    max, marking the report partial.  The pairs' searches run side by side
+    in the calling process, and each RK4 run certifies the pending requests
+    of every pair; each pair's result is its :func:`cc_distance`.
+    ``threads`` is accepted and ignored, kept so that callers passing it
+    keep working.
     """
     if not _is_count(pair_samples, 1):
         raise ValueError(f"pair_samples must be an integer >= 1, got {pair_samples!r}")
@@ -912,10 +1063,9 @@ def estimate_diameter(
     rng = np.random.default_rng(cfg.seed)
     ps = model.random_points(rng, pair_samples)
     qs = model.random_points(rng, pair_samples)
-    pairs = [
-        PairResult(i, ps[i], qs[i], cc_distance(model, ps[i], qs[i], cfg))
-        for i in range(pair_samples)
-    ]
+    searches = [_pair_search(model, ps[i], qs[i], cfg) for i in range(pair_samples)]
+    results = _run_searches(model, searches)
+    pairs = [PairResult(i, ps[i], qs[i], results[i]) for i in range(pair_samples)]
     converged = [pr for pr in pairs if pr.result.converged]
     worst = max(converged, key=lambda pr: pr.result.distance, default=None)
     return DiameterReport(

@@ -2,9 +2,11 @@
 and the search and CLI report comparisons' summaries."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -98,26 +100,103 @@ def test_bench_records_the_change_alone_without_a_base(monkeypatch):
     assert [r["seed"] for r in out["change"]["runs"]] == [7, 8]
 
 
+def test_bench_runs_both_sides_from_fresh_copies(monkeypatch, tmp_path):
+    # the change runs from a copy of the working tree and the base from its
+    # export, each in its own temporary directory, never from the checkout
+    bench = load_bench()
+    repo = tmp_path / "checkout"
+    repo.mkdir()
+    spec = {"run_seconds": 1, "workloads": [{"name": "w"}],
+            "end_to_end": [{"name": "ops_per_s", "better": "higher"}]}
+    (repo / "BENCHMARK.json").write_text(json.dumps(spec))
+    made, calls = {}, []
+
+    def copy(source, dest):
+        assert source == str(repo)
+        made["change"] = dest
+
+    def export(source, rev, dest):
+        assert (source, rev) == (str(repo), "HEAD~1")
+        made["base"] = dest
+        return "f" * 40
+
+    def run(side_dir, workload, seed, seconds, trace):
+        assert os.path.isdir(side_dir)
+        calls.append((side_dir, seed, trace))
+        return {"seed": seed, "exit": 0, **fake_run(2.0 if side_dir == made["change"] else 1.0)}
+
+    monkeypatch.setattr(bench, "copy_worktree", copy)
+    monkeypatch.setattr(bench, "export", export)
+    monkeypatch.setattr(bench, "run", run)
+    monkeypatch.setattr(bench, "SEEDS", (7, 8, 9))
+    assert bench.main(["--repo", str(repo), "--base", "HEAD~1"]) == 0
+    old, new = made["base"], made["change"]
+    assert len({old, new, str(repo)}) == 3
+    assert all(os.path.dirname(d) == tempfile.gettempdir() for d in (old, new))
+    assert calls == [(old, 7, 0), (new, 7, 0), (new, 8, 0), (old, 8, 0),
+                     (old, 9, 0), (new, 9, 0), (old, 1, 1), (new, 1, 1)]
+    assert not os.path.exists(old) and not os.path.exists(new)
+    record = json.loads((repo / "BENCH_1.json").read_text())
+    assert record["base"] == {"rev": "HEAD~1", "git_head": "f" * 40}
+    assert record["workloads"]["w"]["pairs"]["ops_per_s"]["won"] == 3
+
+
+def test_bench_copies_the_working_tree_as_git_lists_it(tmp_path):
+    bench = load_bench()
+    repo, dest = tmp_path / "repo", tmp_path / "copy"
+
+    def git(*argv):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *argv], check=True, capture_output=True)
+
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "kept.py").write_text("committed\n")
+    (repo / "gone.py").write_text("committed\n")
+    (repo / ".gitignore").write_text("out/\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "start")
+    (repo / "src" / "kept.py").write_text("edited\n")
+    (repo / "src" / "new.py").write_text("untracked\n")
+    (repo / "gone.py").unlink()
+    (repo / "out").mkdir()
+    (repo / "out" / "result.json").write_text("{}")
+    bench.copy_worktree(str(repo), str(dest))
+    files = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert files == [".gitignore", "src/kept.py", "src/new.py"]
+    assert (dest / "src" / "kept.py").read_text() == "edited\n"
+
+
 def test_compare_searches_reports_status_changes_and_the_largest_gap():
     cmp = load_script("compare_searches")
-    base = {"a": [["converged", 1.0], ["converged", 2.0], ["budget-exhausted", None]],
-            "b": [["converged", 0.5]]}
+    base = {"a": [["converged", 1.0, 1e-6, 10], ["converged", 2.0, 2e-6, 12],
+                  ["budget-exhausted", None, 0.5, 30]],
+            "b": [["converged", 0.5, 0.0, 4]]}
     same = cmp.compare(base, base)
-    assert same == {"a": {"pairs": (3, 3), "status_changes": [], "max_gap": 0.0},
-                    "b": {"pairs": (1, 1), "status_changes": [], "max_gap": 0.0}}
+    assert same == {
+        "a": {"pairs": (3, 3), "status_changes": [], "max_gap": 0.0, "max_miss_gap": 0.0,
+              "rounds": (52, 52)},
+        "b": {"pairs": (1, 1), "status_changes": [], "max_gap": 0.0, "max_miss_gap": 0.0,
+              "rounds": (4, 4)},
+    }
     assert not cmp.failed(same)
-    change = {"a": [["converged", 1.0 + 2e-16], ["budget-exhausted", None], ["converged", 3.0]],
-              "b": [["converged", 0.375]]}
+    change = {"a": [["converged", 1.0 + 2e-16, 1e-6, 10], ["budget-exhausted", None, 0.25, 30],
+                    ["converged", 3.0, 0.5, 20]],
+              "b": [["converged", 0.375, 1e-3, 7]]}
     moved = cmp.compare(base, change)
     assert moved["a"]["status_changes"] == [(1, "converged", "budget-exhausted"),
                                             (2, "budget-exhausted", "converged")]
     assert moved["a"]["max_gap"] == 2.220446049250313e-16
-    assert moved["b"] == {"pairs": (1, 1), "status_changes": [], "max_gap": 0.125}
+    assert moved["a"]["max_miss_gap"] == 0.25 - 2e-6 and moved["a"]["rounds"] == (52, 60)
+    assert moved["b"] == {"pairs": (1, 1), "status_changes": [], "max_gap": 0.125,
+                          "max_miss_gap": 1e-3, "rounds": (4, 7)}
     assert cmp.failed(moved)
+    # a moved distance, miss or round total is reported, not failed
     assert not cmp.failed({"b": moved["b"]})
     # a set that lost pairs fails even with no status change among the rest
     short = cmp.compare(base, {"a": base["a"][:2], "b": base["b"]})
     assert short["a"]["pairs"] == (3, 2) and not short["a"]["status_changes"]
+    assert short["a"]["rounds"] == (52, 22)
     assert cmp.failed(short)
 
 

@@ -1,6 +1,7 @@
 """Cotangent flow conservation, two-point search, and distance oracles."""
 
 import dataclasses
+import importlib.util
 import math
 import os
 import subprocess
@@ -265,7 +266,7 @@ class TestFlowEvaluator:
                 for i in range(12)
             ])
         ref_miss, ref_t = sr._closest_sample(
-            np.sum((pts - q) ** 2, axis=-1).T, T / 300
+            np.sum((pts - q) ** 2, axis=-1).T, T / 300, 300
         )
         assert np.max(np.abs(miss - ref_miss)) < 1e-6
         assert np.max(np.abs(t_at - ref_t)) < 1e-6
@@ -297,6 +298,192 @@ class TestFlowEvaluator:
             model = CountingSphere(1)
             sr.cc_distance(model, p, q, sr.ShootingConfig(mode=mode, **quick))
             assert model.flow_calls > 0
+
+
+def _refine_one(model, chart, p, q, c, a0, t_seed, cfg, t_max):
+    """One seed's refine on its own, as the search ran it before lanes: the reference."""
+    mode = cfg.mode
+    t_loc = min(max(1.15 * t_seed + 0.2, 0.3), t_max)
+    n_steps = max(16, int(round(t_loc / cfg.search_step)))
+
+    def evaluate(cs, a0s):
+        cov = chart(cs, a0s)
+        X0, T = np.broadcast_to(p, cov.shape), np.full(len(cs), t_loc)
+        return sr._batched_closest_approach(model, X0, cov, T, n_steps, q, mode)
+
+    def endpoints(cs, a0s, ts):
+        cov = chart(cs, a0s)
+        return model.flow_points(np.broadcast_to(p, cov.shape), cov, ts[:, None], mode)[:, 0]
+
+    cap = 1.0 if mode == "riem" else cfg.alpha0_cap
+    c = sr._unit(c)
+    miss, t_at = evaluate(c[None], [a0])
+    miss, t_at = float(miss[0]), float(t_at[0])
+    d_dir, d_a0 = 0.25, 0.5
+    rounds = 0
+    while rounds < min(30, cfg.max_refine_rounds) and miss > 0.05:
+        rounds += 1
+        B = sr._direction_basis(c)
+        moved = sr._unit(np.stack([c + d_dir * B, c - d_dir * B], axis=1).reshape(-1, c.size))
+        probes_c = np.vstack([moved, c, c])
+        probes_a = [a0] * len(moved) + [min(a0 + d_a0, cap), max(a0 - d_a0, -cap)]
+        pm, pt = evaluate(probes_c, probes_a)
+        k = int(np.argmin(pm))
+        if float(pm[k]) < miss:
+            c, a0 = probes_c[k], probes_a[k]
+            miss, t_at = float(pm[k]), float(pt[k])
+        else:
+            d_dir *= 0.5
+            d_a0 *= 0.5
+            if d_dir < 1e-4:
+                break
+    eps = 1e-6
+    halvings = 0.5 ** np.arange(4)
+    stalled = False
+    while rounds < cfg.max_refine_rounds:
+        rounds += 1
+        B = sr._direction_basis(c)
+        cs = np.vstack([c, sr._unit(c + eps * B), c, c])
+        a0s = np.array([a0] * (len(B) + 1) + [a0 + eps, a0])
+        ts = np.array([t_at] * (len(B) + 2) + [t_at + eps])
+        X = endpoints(cs, a0s, ts)
+        miss = float(np.linalg.norm(X[0] - q))
+        delta = np.linalg.lstsq((X[1:] - X[0]).T / eps, q - X[0], rcond=None)[0]
+        trial_c = sr._unit(c + np.outer(halvings, delta[:-2] @ B))
+        trial_a = np.clip(a0 + halvings * delta[-2], -cap, cap)
+        trial_t = t_at + halvings * delta[-1]
+        trial_miss = np.linalg.norm(endpoints(trial_c, trial_a, trial_t) - q, axis=-1)
+        better = (trial_t > 0.0) & (trial_t <= t_max) & (trial_miss < miss)
+        if not better.any():
+            stalled = miss > cfg.hit_tol
+            break
+        k = int(np.argmax(better))
+        c, a0, t_at, miss = trial_c[k], trial_a[k], float(trial_t[k]), float(trial_miss[k])
+    return miss, t_at, c, a0, stalled, rounds
+
+
+def _refine_in_turn(model, chart, p, q, C, A0, T0, cfg, t_max):
+    """The seeds refined one after another in seed order, skipping a seed longer by
+    more than 0.2 than a hit in hand: the reference for the lanes."""
+    refined = []
+    for c, a0, t_seed in zip(C, A0, T0):
+        hit_lengths = [r[1] for r in refined if r[0] <= cfg.hit_tol]
+        if hit_lengths and t_seed > min(hit_lengths) + 0.2:
+            continue
+        refined.append(_refine_one(model, chart, p, q, c, a0, t_seed, cfg, t_max))
+    return refined
+
+
+def _assert_lanes_equal(lanes, refined):
+    miss, t, c, a0, stalled, rounds = lanes
+    assert len(miss) == len(refined)
+    assert rounds == sum(r[5] for r in refined) and isinstance(rounds, int)
+    for i, (m_r, t_r, c_r, a_r, stalled_r, _) in enumerate(refined):
+        assert (miss[i], t[i], a0[i], stalled[i]) == (m_r, t_r, a_r, stalled_r)
+        assert np.array_equal(c[i], c_r)
+
+
+class TestLanes:
+    @pytest.mark.parametrize("key, mode", [("s3", "sub"), ("heisenberg", "sub"),
+                                           ("s3-dhom:2.0", "riem")])
+    def test_per_row_grids_equal_one_row_calls(self, key, mode, monkeypatch):
+        # blocks of 7 samples of each row, so the grids end in different blocks
+        model = models.get_model(key)
+        monkeypatch.setattr(sr, "_FLOW_BLOCK", 7 * 5)
+        rng = np.random.default_rng(8)
+        p, q = model.random_points(rng, 2)
+        c = rng.standard_normal((5, 2 * model.n))
+        c /= np.linalg.norm(c, axis=1, keepdims=True)
+        cov = sr._frame_chart(model, p, mode)(c, np.linspace(-0.9, 0.9, 5))
+        X0 = np.broadcast_to(p, cov.shape)
+        # the shortest grid sits next to the longest
+        T = np.array([0.7, 3.1, 0.3, 1.9, 2.4])
+        n = np.array([35, 155, 16, 95, 120])
+        miss, t_at = sr._batched_closest_approach(model, X0, cov, T, n, q, mode)
+        for i in range(5):
+            alone = sr._batched_closest_approach(
+                model, X0[i:i + 1], cov[i:i + 1], T[i:i + 1], int(n[i]), q, mode
+            )
+            assert (miss[i], t_at[i]) == (alone[0][0], alone[1][0])
+            assert t_at[i] <= T[i]
+
+    @pytest.mark.parametrize("key", ["s3", "s5", "s3-dhom:2.0"])
+    @pytest.mark.parametrize("mode", ["sub", "riem"])
+    def test_shared_time_trigonometry_equals_rows(self, key, mode):
+        # the coarse scan's rows share one time row, so the sphere flows take
+        # each distinct rate's cosines once; the bits are those of each row
+        model = models.get_model(key)
+        cfg = sr.ShootingConfig(mode=mode)
+        rng = np.random.default_rng(12)
+        p, q = model.random_points(rng, 2)
+        dirs = sr._scan_directions(2 * model.n, cfg.n_directions, rng)
+        A = 1.0 if mode == "riem" else cfg.alpha0_max
+        A0 = np.tile(np.linspace(-A, A, cfg.n_alpha0), cfg.n_directions)
+        cov = sr._frame_chart(model, p, mode)(np.repeat(dirs, cfg.n_alpha0, axis=0), A0)
+        X0 = np.broadcast_to(p, cov.shape)
+        t_max = cfg.resolved_t_max(model)
+        t = t_max * (np.arange(0, 40) / 139)[None]
+        shared = model.flow_sq_distances(X0, cov, t, q, mode)
+        rows = model.flow_sq_distances(X0, cov, np.repeat(t, len(A0), axis=0), q, mode)
+        assert shared.shape == rows.shape == (len(A0), 40)
+        assert np.array_equal(shared, rows)
+        for i in range(0, len(A0), 37):
+            alone = model.flow_sq_distances(X0[i:i + 1], cov[i:i + 1], t, q, mode)
+            assert np.array_equal(shared[i], alone[0])
+
+    @pytest.mark.parametrize(
+        "key, mode, seed",
+        [("s3", "sub", 5), ("s5", "sub", 6), ("heisenberg", "sub", 7), ("s3-dhom:2.0", "riem", 8)],
+    )
+    def test_lanes_equal_seeds_refined_in_turn(self, key, mode, seed, monkeypatch):
+        # every pass of a search: the same seeds refined, the same rounds, and
+        # each seed's (miss, t, c, a0) bit for bit
+        model = models.get_model(key)
+        passes = []
+        refine = sr._refine_candidate
+
+        def recorded(*args):
+            out = refine(*args)
+            passes.append((args, out))
+            return out
+
+        monkeypatch.setattr(sr, "_refine_candidate", recorded)
+        p, q = model.random_points(np.random.default_rng(seed), 2)
+        sr.cc_distance(model, p, q, sr.ShootingConfig(seed=seed, mode=mode))
+        assert passes
+        for args, out in passes:
+            _assert_lanes_equal(out, _refine_in_turn(*args))
+
+    def test_a_seed_longer_than_a_hit_is_not_refined(self, heis):
+        # lane 0 lands on q = (1, 0, 0) at t = 1 along the straight line; lane
+        # 2's seed is longer than that hit by more than 0.2, so it is neither
+        # refined nor counted, while lane 1 is within 0.2 and is
+        cfg = sr.ShootingConfig()
+        p, q = np.zeros(3), np.array([1.0, 0.0, 0.0])
+        chart = sr._frame_chart(heis, p, "sub")
+        C = np.array([[1.0, 0.0], [0.8, 0.6], [0.0, 1.0]])
+        A0, T0 = np.array([0.0, 0.5, 0.0]), np.array([1.0, 1.1, 2.0])
+        lanes = sr._refine_candidate(heis, chart, p, q, C, A0, T0, cfg, 8.0)
+        refined = _refine_in_turn(heis, chart, p, q, C, A0, T0, cfg, 8.0)
+        assert len(refined) == 2 and refined[0][0] <= cfg.hit_tol
+        assert refined[0][1] == pytest.approx(1.0) and T0[2] > refined[0][1] + 0.2
+        _assert_lanes_equal(lanes, refined)
+        alone = [sr._refine_candidate(heis, chart, p, q, C[i:i + 1], A0[i:i + 1], T0[i:i + 1],
+                                      cfg, 8.0) for i in range(3)]
+        assert lanes[5] == alone[0][5] + alone[1][5] and alone[2][5] > 0
+
+    def test_certify_rows_equal_single_requests(self, s3):
+        # one RK4 run for several requests: each reads its own two rows at
+        # its own step counts, as its two-row run alone
+        rng = np.random.default_rng(31)
+        requests = []
+        for t in (0.4, 2.3, 1.1):
+            x = s3.random_points(rng, 1)[0]
+            u = s3.random_unit_horizontal(rng, x[None])[0]
+            state = sr.CotangentState.make(s3, x, s3.covector_from(x, u, 0.7))
+            requests.append((state, t, s3.random_points(rng, 1)[0]))
+        together = sr._certify(s3, requests, 5e-3)
+        assert together == [sr._certify(s3, [r], 5e-3)[0] for r in requests]
 
 
 class CountingFrameSphere(models.SphereModel):
@@ -501,6 +688,8 @@ class TestDistanceOracles:
         p = np.array([1.0, 0, 0, 0])
         r = sr.cc_distance(s3, p, p)
         assert r.converged and r.distance == 0.0
+        # no refine ran, so nothing stalled
+        assert not r.plateau and r.rounds == 0
 
     def test_near_coincident_points(self, s3, heis):
         # distinct points never connect at length 0, however close: the
@@ -649,6 +838,36 @@ class TestDiameterEstimate:
         with pytest.raises(ValueError, match="pair_samples"):
             sr.estimate_diameter(s3, pairs)
 
+    @pytest.mark.parametrize(
+        "key, count, options",
+        [("s3", 6, dict(seed=7)), ("s3-dhom:2.0", 4, dict(seed=11, mode="riem"))],
+    )
+    def test_sweep_equals_pair_by_pair(self, key, count, options):
+        # the sweep certifies every pair's requests in shared RK4 runs; each
+        # pair's result is that of its own search
+        model = models.get_model(key)
+        cfg = sr.ShootingConfig(**options)
+        rep = sr.estimate_diameter(model, count, cfg)
+        assert len(rep.pairs) == count
+        for pr in rep.pairs:
+            alone = sr.cc_distance(model, pr.p, pr.q, cfg)
+            fields = ("status", "distance", "miss", "alpha0", "alpha0_boundary", "plateau",
+                      "rounds")
+            assert [getattr(pr.result, f) for f in fields] == [getattr(alone, f) for f in fields]
+
+    @pytest.mark.parametrize("mode", ["sub", "riem"])
+    def test_wrong_exact_flow_never_certifies_in_a_sweep(self, mode):
+        model = OffsetFlowHeisenberg()
+        cfg = sr.ShootingConfig(seed=3, n_directions=8, n_alpha0=5, confirm_rounds=0, mode=mode)
+        rep = sr.estimate_diameter(model, 3, cfg)
+        for pr in rep.pairs:
+            r = pr.result
+            assert r.converged == (r.miss <= cfg.hit_tol)
+            if r.converged:
+                steps = max(32, int(round(r.distance / cfg.certify_step)))
+                path = sr.integrate_geodesic(model, r.best_init, r.distance, steps)
+                assert np.linalg.norm(path.points[-1] - pr.q) <= cfg.hit_tol + 1e-6
+
     def test_bound_values(self, s3, s5, heis):
         assert abs(sr.theoretical_diameter_bound(s3) - math.pi) < 1e-12
         assert abs(sr.theoretical_diameter_bound(s5) - math.pi * math.sqrt(2)) < 1e-12
@@ -668,3 +887,49 @@ class TestGeodesicFromResult:
         )
         with pytest.raises(ValueError):
             sr.geodesic_from_result(s3, failed)
+
+
+BENCHMARK_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "benchmark")
+
+
+def _load_by_path(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(BENCHMARK_DIR, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_follows_the_search_and_the_sweep(s3, monkeypatch):
+    # the traced benchmark wraps _search_once and _refine_candidate by name,
+    # unpacks the pass's seven positional arguments and adds the round total
+    # at index 5 of the refine's return
+    tracing = _load_by_path("tracing", monkeypatch)
+    layers = _load_by_path("layers", monkeypatch)
+    rounds = []
+    search_once = sr._search_once
+
+    def counted(*args):
+        ranked, total = search_once(*args)
+        rounds.append(total)
+        return ranked, total
+
+    monkeypatch.setattr(sr, "_search_once", counted)
+    p, q = s3.random_points(np.random.default_rng(3), 2)
+    deformed = models.get_model("s3-dhom:2.0")
+    tracer = tracing.Tracer()
+    tracer.install("sasakigeo", layers.targets())
+    try:
+        r = tracer.run_span("bench.op", lambda: sr.cc_distance(s3, p, q, sr.ShootingConfig(seed=3)))
+        rep = tracer.run_span("bench.op", lambda: sr.estimate_diameter(
+            deformed, 2, sr.ShootingConfig(seed=11, mode="riem")))
+    finally:
+        tracer.uninstall()
+    assert r.converged and len(rep.pairs) == 2
+    assert sr._search_once is counted
+    totals = tracer.totals()
+    assert totals["subriemannian.search"][0] == totals["subriemannian.refine"][0] == len(rounds)
+    assert tracer.counters["refine_rounds"] == sum(rounds) > 0
+    assert tracer.counters["results"] == 1  # counted through cc_distance alone
+    assert set(layers.metrics(tracer, 0.0)) == set(layers.PER_LAYER)
