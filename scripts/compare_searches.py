@@ -5,7 +5,9 @@
 
 Runs the same 121 searches on both trees and prints, for each set, the
 status changes, the largest |Δdistance| and |Δmiss| between the two, and
-the refine rounds summed over the set on each tree.  The sets are
+on each tree the refine rounds summed over the set and the refine's flow
+calls (``_batched_closest_approach`` and model ``flow_points`` calls made
+inside ``_refine_candidate``).  The sets are
 acceptance 04's 50 pairs on each of s3 and s5 (seed 7), acceptance 08's 10
 ``s3-dhom:2.0`` riem pairs (seed 11), 10 Heisenberg pairs (seed 3) and the
 Heisenberg unit translation ``0 -> (1, 0, 0)``, all at the default config
@@ -20,8 +22,8 @@ other lacks, any changed value that is not a number, and the largest
 directory, and each tree runs in its own interpreter on its own ``src/``,
 one after the other.  Exits 1 if any status changed, if a set has a
 different number of pairs, or if a command changed its exit code, a key or a
-value that is not a number; moved numbers, misses and round totals are
-printed, not failed.
+value that is not a number; moved numbers, misses, round totals and flow
+call counts are printed, not failed.
 """
 
 from __future__ import annotations
@@ -53,10 +55,39 @@ CLI_COMMANDS = (
     "check-identities --model heisenberg --points 200",
 )
 
+# Defines ``count_refine_flows(sr)``, which wraps ``sr._refine_candidate`` so
+# that each call adds its ``_batched_closest_approach`` and model
+# ``flow_points`` calls to ``calls[0]``, and returns ``calls``.
+_COUNT_FLOWS = """
+def count_refine_flows(sr):
+    calls = [0]
+    refine = sr._refine_candidate
+
+    def counted(flow):
+        def call(*args):
+            calls[0] += 1
+            return flow(*args)
+        return call
+
+    def counted_refine(model, *args):
+        closest = sr._batched_closest_approach
+        sr._batched_closest_approach = counted(closest)
+        model.flow_points = counted(model.flow_points)
+        try:
+            return refine(model, *args)
+        finally:
+            sr._batched_closest_approach = closest
+            del model.flow_points
+
+    sr._refine_candidate = counted_refine
+    return calls
+"""
+
 # Run in each tree's own interpreter, with the commands as its arguments:
 # prints {"searches": {set: [[status, distance, miss, rounds], ...]},
+#         "flow_calls": {set: refine flow calls},
 #         "cli": {command: [exit code, report or null]}}.
-_RECORD = """
+_RECORD = _COUNT_FLOWS + """
 import contextlib
 import io
 import json
@@ -71,15 +102,23 @@ def pairs(key, count, **cfg):
     rep = sr.estimate_diameter(models.get_model(key), count, sr.ShootingConfig(**cfg))
     return [row(pr.result) for pr in rep.pairs]
 
-heis = models.get_model("heisenberg")
-unit = sr.cc_distance(heis, np.zeros(3), np.array([1.0, 0.0, 0.0]))
-searches = {
-    "s3": pairs("s3", 50, seed=7),
-    "s5": pairs("s5", 50, seed=7),
-    "s3-dhom:2.0-riem": pairs("s3-dhom:2.0", 10, seed=11, mode="riem"),
-    "heisenberg": pairs("heisenberg", 10, seed=3),
-    "heisenberg-unit": [row(unit)],
+def unit():
+    heis = models.get_model("heisenberg")
+    return [row(sr.cc_distance(heis, np.zeros(3), np.array([1.0, 0.0, 0.0])))]
+
+sets = {
+    "s3": lambda: pairs("s3", 50, seed=7),
+    "s5": lambda: pairs("s5", 50, seed=7),
+    "s3-dhom:2.0-riem": lambda: pairs("s3-dhom:2.0", 10, seed=11, mode="riem"),
+    "heisenberg": lambda: pairs("heisenberg", 10, seed=3),
+    "heisenberg-unit": unit,
 }
+calls = count_refine_flows(sr)
+searches, flow_calls = {}, {}
+for name, run in sets.items():
+    calls[0] = 0
+    searches[name] = run()
+    flow_calls[name] = calls[0]
 
 def run_cli(command):
     out = io.StringIO()
@@ -88,7 +127,8 @@ def run_cli(command):
     text = out.getvalue()
     return [code, json.loads(text) if text.strip() else None]
 
-print(json.dumps({"searches": searches, "cli": {c: run_cli(c) for c in sys.argv[1:]}}))
+print(json.dumps({"searches": searches, "flow_calls": flow_calls,
+                  "cli": {c: run_cli(c) for c in sys.argv[1:]}}))
 """
 
 
@@ -194,9 +234,7 @@ def main(argv=None):
     summary = compare(base["searches"], change["searches"])
     print(f"base {args.base} ({head[:12]}) against this checkout")
     for name, s in summary.items():
-        print(f"{name:18s} pairs {s['pairs'][0]:3d}/{s['pairs'][1]:<3d} "
-              f"status changes {len(s['status_changes'])}  max |Δdistance| {_gap(s)}  "
-              f"max |Δmiss| {_gap(s, 'max_miss_gap')}  rounds {s['rounds'][0]}/{s['rounds'][1]}")
+        print(set_line(name, s, (base["flow_calls"][name], change["flow_calls"][name])))
         for i, sb, sc in s["status_changes"]:
             print(f"    pair {i}: {sb} -> {sc}")
     cli_summary = compare_cli(base["cli"], change["cli"])
@@ -208,6 +246,15 @@ def main(argv=None):
         for key in s["value_changes"]:
             print(f"    value changed: {key}")
     return 1 if failed(summary) or cli_failed(cli_summary) else 0
+
+
+def set_line(name, s, flow_calls):
+    """The printed line of set ``name``'s summary ``s``, with the refine's flow
+    calls ``(base, change)`` after its round totals."""
+    return (f"{name:18s} pairs {s['pairs'][0]:3d}/{s['pairs'][1]:<3d} "
+            f"status changes {len(s['status_changes'])}  max |Δdistance| {_gap(s)}  "
+            f"max |Δmiss| {_gap(s, 'max_miss_gap')}  rounds {s['rounds'][0]}/{s['rounds'][1]}  "
+            f"flow calls {flow_calls[0]}/{flow_calls[1]}")
 
 
 def _gap(s, key="max_gap"):

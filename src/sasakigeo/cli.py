@@ -97,12 +97,26 @@ def _count(text: str) -> int:
     return value
 
 
-def _nodes(text: str) -> int:
-    """argparse type of ``functionals --nodes``: at least the functionals' node floor."""
-    value = _count(text)
-    if value < functionals.MIN_NODES:
-        raise argparse.ArgumentTypeError(f"need at least {functionals.MIN_NODES} nodes")
-    return value
+def _at_least(floor: int, noun: str):
+    """argparse type of a count flag with the library's floor: ``functionals --nodes``
+    at ``functionals.MIN_NODES``, ``geodesic --steps`` at ``subriemannian.MIN_STEPS``."""
+
+    def parse(text: str) -> int:
+        value = _count(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"need at least {floor} {noun}")
+        return value
+
+    return parse
+
+
+def _grid(text: str) -> tuple[int, int]:
+    """argparse type of ``functionals --grid``: ``<n_theta>x<n_phi>``, two integers."""
+    try:
+        n_theta, n_phi = (int(tok) for tok in text.lower().split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected <n_theta>x<n_phi>, got {text!r}") from None
+    return n_theta, n_phi
 
 
 # Finest step a command samples a horizon at by default (geodesic's t/1e-3).
@@ -189,7 +203,7 @@ def _cmd_geodesic(args) -> int:
     direction = direction / norm
     cov = model.covector_from(point, direction, args.alpha0)
     state = subriemannian.CotangentState.make(model, point, cov, args.mode)
-    steps = args.steps or max(16, int(round(args.t_end / _FINEST_STEP)))
+    steps = args.steps or max(subriemannian.MIN_STEPS, int(round(args.t_end / _FINEST_STEP)))
     path = subriemannian.integrate_geodesic(model, state, args.t_end, steps)
     inv = path.invariants(model)
     residual = subriemannian.geodesic_residual(model, path)
@@ -437,7 +451,7 @@ def _cmd_functionals(args) -> int:
     model = models.get_model(args.model)
     if model.ambient_dim != 4 or model.n != 1:
         raise ValueError("functionals require the 3-sphere model (transverse surface)")
-    n_theta, n_phi = (int(tok) for tok in args.grid.lower().split("x"))
+    n_theta, n_phi = args.grid
     grid = quotient.S2Grid(n_theta=n_theta, n_phi=n_phi, lmax=args.lmax)
     if args.values_csv:
         vals = np.loadtxt(args.values_csv, delimiter=",")
@@ -529,14 +543,15 @@ def build_parser() -> _Parser:
 
     p = add("check-identities", _cmd_check_identities, "structure identity residuals")
     p.add_argument("--points", type=_count, default=200, help="sample point count")
-    p.add_argument("--tol", type=_finite_float, default=None, help="override all tolerances")
+    p.add_argument("--tol", type=_positive_float, default=None, help="override all tolerances")
 
     p = add("geodesic", _cmd_geodesic, "integrate one normal geodesic")
     p.add_argument("--point", default=None, help="start point (comma-separated)")
     p.add_argument("--direction", default=None, help="initial horizontal direction")
     p.add_argument("--alpha0", type=_finite_float, default=0.3, help="Reeb momentum")
     p.add_argument("--t-end", type=_horizon, default=float(2.0 * np.pi))
-    p.add_argument("--steps", type=_count, default=None, help="step count (default t/1e-3)")
+    p.add_argument("--steps", type=_at_least(subriemannian.MIN_STEPS, "steps"), default=None,
+                   help="step count (default t/1e-3)")
     p.add_argument("--mode", choices=("sub", "riem"), default="sub")
     p.add_argument("--csv", default=None, help="write the sampled path as CSV")
 
@@ -566,9 +581,10 @@ def build_parser() -> _Parser:
     p.add_argument("--amplitude", type=_finite_float, default=0.02)
     p.add_argument("--random", action="store_true", help="use a seeded random potential")
     p.add_argument("--values-csv", default=None, help="potential values on the grid")
-    p.add_argument("--grid", default="64x128", help="n_theta x n_phi")
+    p.add_argument("--grid", type=_grid, default="64x128", help="n_theta x n_phi")
     p.add_argument("--lmax", type=int, default=32)
-    p.add_argument("--nodes", type=_nodes, default=33, help="time quadrature nodes")
+    p.add_argument("--nodes", type=_at_least(functionals.MIN_NODES, "nodes"), default=33,
+                   help="time quadrature nodes")
 
     return parser
 

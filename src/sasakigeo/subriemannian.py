@@ -32,11 +32,11 @@ by their closest approach to the target (sampled, with sub-step parabolic
 interpolation).  A compass (pattern) search on (direction, a0) walks the best
 seeds into their basins on the same sampled closest approaches; Newton on
 (direction, a0, flight time) then puts the exact endpoint on the target.
-The seeds of a pass are refined in lockstep, as lanes of one array program:
-each round makes one flow call for the probes of every lane still walking
-and two for the Jacobian and trial rows of every lane in Newton, while the
-steps whose bits depend on the shape of a BLAS call stay per lane, so each
-lane is the seed's own refine bit for bit.
+Each seed's refine is a generator that yields its flow evaluations as
+requests, and the seeds of a pass run side by side under one scheduler,
+:func:`_drive`, whose every tick answers all pending requests of a kind with
+one flow call; the steps whose bits depend on the shape of a BLAS call stay
+in each seed's generator, so each seed is its own refine bit for bit.
 Directions are unit rows ``c`` of frame coordinates in the orthonormal
 horizontal frame at the start point ``p``; one linear chart per search pass
 turns ``(c, a0)`` into unit-speed covectors, and between chart evaluations
@@ -45,12 +45,10 @@ that of a normal geodesic from ``p`` whose certified miss is within
 ``hit_tol`` of the target, otherwise the search returns a budget-exhausted
 status.
 
-Each pair's search is a generator that yields a certification request for
-every hit it would certify and receives the certified miss.
-:func:`cc_distance` answers one search's requests; :func:`estimate_diameter`
-runs the searches of all its pairs side by side and answers every pending
-request with one RK4 run, whose rows are independent, so each pair's result
-is that of its search alone.
+Each pair's search is a generator of the same kind, whose requests are the
+hits to certify: :func:`cc_distance` drives one search and
+:func:`estimate_diameter` those of all its pairs, whose pending requests
+share one RK4 run of independent rows per tick.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from typing import ClassVar
 
 import numpy as np
@@ -221,6 +219,9 @@ def _rk4_rows(model, state, h, iterations, mode):
     return ys[..., :d], ys[..., d:]
 
 
+MIN_STEPS = 16  # fewest RK4 steps integrate_geodesic takes a path in
+
+
 def integrate_geodesic(
     model: SasakiModel,
     init: CotangentState,
@@ -230,7 +231,7 @@ def integrate_geodesic(
     """Integrate the cotangent flow of the state's mode and record every sample.
 
     ``t_end`` must be finite and positive, ``steps`` an integer of at least
-    16 and, in sub mode, the initial state must carry horizontal motion
+    :data:`MIN_STEPS` and, in sub mode, the initial state must carry horizontal motion
     (H > 0).
     """
     mode = init.mode
@@ -239,8 +240,8 @@ def integrate_geodesic(
         raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
     if not isinstance(steps, numbers.Integral) or isinstance(steps, bool):
         raise ValueError(f"steps must be an integer count, got {steps!r}")
-    if steps < 16:
-        raise ValueError("steps must be >= 16")
+    if steps < MIN_STEPS:
+        raise ValueError(f"steps must be >= {MIN_STEPS}")
     h_sub = float(model.hamiltonian(init.point, init.covector, mode="sub"))
     if mode == "sub" and not h_sub > 1e-15:
         raise ValueError("initial covector has no horizontal motion (H = 0)")
@@ -662,40 +663,15 @@ def cc_distance(
     directly by closest approach and flow time.
     """
     cfg = cfg or ShootingConfig()
-    return _run_searches(model, [_pair_search(model, p, q, cfg)])[0]
-
-
-def _run_searches(model, searches):
-    """Drive the generators of :func:`_pair_search` to their results.
-
-    Every pending certification request is answered by one :func:`_certify`
-    run, whichever search made it; the searches share nothing else, so each
-    result is that of its search alone.
-    """
-    results = [None] * len(searches)
-    pending = {}
-
-    def advance(i, miss=None):
-        try:
-            pending[i] = searches[i].send(miss)
-        except StopIteration as done:
-            results[i] = done.value
-
-    for i in range(len(searches)):
-        advance(i)
-    while pending:
-        asked = sorted(pending)
-        misses = _certify(model, [pending.pop(i) for i in asked], ShootingConfig.certify_step)
-        for i, miss in zip(asked, misses):
-            advance(i, miss)
-    return results
+    certify = partial(_certify, model, step=ShootingConfig.certify_step)
+    return _drive([_pair_search(model, p, q, cfg)], {"certify": certify})[0]
 
 
 def _pair_search(model, p, q, cfg):
     """The search of one pair, as a generator of certification requests.
 
-    It yields ``(state, t, q)`` for each hit it would certify, receives that
-    request's certified miss, and returns the :class:`ShootingResult`.
+    It yields ``("certify", (state, t, q))`` for each hit it would certify,
+    receives that request's certified miss, and returns the result.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -749,7 +725,7 @@ def _certified_pass(model, p, q, cfg, t_max, A, round_id):
     ranked, rounds = _search_once(model, p, q, cfg, t_max, A, round_id)
     for miss_c, t_c, cov, a0_c, plateau, hit in ranked:
         state = CotangentState.make(model, p, cov, cfg.mode)
-        miss = (yield state, t_c, q) if hit else miss_c
+        miss = (yield "certify", (state, t_c, q)) if hit else miss_c
         boundary = abs(a0_c) > 0.95 * A
         if hit and miss <= cfg.hit_tol:
             return ShootingResult("converged", t_c, state, miss, a0_c, boundary, A, plateau, rounds)
@@ -797,10 +773,7 @@ def _search_once(model, p, q, cfg, t_max, A, round_id=0):
         if band.size:
             sub = np.lexsort((np.abs(A0[band]), t_at[band], miss[band]))[0]
             seeds.append(int(band[sub]))
-    seen: set[int] = set()
-    uniq = [s for s in seeds if not (s in seen or seen.add(s))]
-    uniq.sort(key=lambda r: t_at[r])
-    rows = np.array(uniq)
+    rows = np.array(sorted(dict.fromkeys(seeds), key=lambda r: t_at[r]))
     miss_r, t_r, c_r, a0_r, stalled_r, total_rounds = _refine_candidate(
         model, chart, p, q, dirs[rows // cfg.n_alpha0], A0[rows], t_at[rows], cfg, t_max
     )
@@ -856,15 +829,47 @@ def _certify(model, requests, step):
     return misses
 
 
-_COMPASS, _NEWTON, _DONE, _DROPPED = range(4)
+def _drive(gens, answer, drop=lambda i, results: False):
+    """Run the request generators ``gens`` to their results, a tick at a time.
+
+    A generator yields requests ``(kind, payload)`` and is sent each one's
+    reply.  A tick answers every pending request with one call per kind:
+    ``answer[kind]`` takes that kind's payloads in generator order and
+    returns their replies.  Before each tick, ``drop(i, results)`` may end
+    pending generator ``i`` given the results so far (``None`` for one not
+    finished); a dropped generator is not resumed and its result stays
+    ``None``.
+    """
+    results = [None] * len(gens)
+    pending = {}
+
+    def advance(i, reply=None):
+        try:
+            pending[i] = gens[i].send(reply)
+        except StopIteration as done:
+            results[i] = done.value
+
+    for i in range(len(gens)):
+        advance(i)
+    while pending:
+        tick = [(i, request) for i, request in sorted(pending.items()) if not drop(i, results)]
+        pending.clear()
+        for kind, reply in answer.items():
+            asked = [(i, payload) for i, (k, payload) in tick if k == kind]
+            if asked:
+                for (i, _), r in zip(asked, reply([payload for _, payload in asked])):
+                    advance(i, r)
+    return results
 
 
-def _refine_candidate(model, chart, p, q, C, A0, T0, cfg, t_max):
+def _refine_seed(chart, q, c, a0, t_seed, cfg, t_max):
     """Compass walk on sampled closest approaches, then Newton on (direction, a0, flight time).
 
-    The seeds of one pass are refined in lockstep as lanes: the rows of
-    ``C`` (directions), ``A0`` and ``T0`` (seeded flight times, in increasing
-    order).  Each round of the walk probes ``+-d_dir`` along each direction
+    One seed's refine, as a generator of flow requests: ``("sampled", (cov,
+    T, n))`` asks for the closest approaches ``(miss, t)`` of the covector
+    rows ``cov`` sampled as in :func:`_batched_closest_approach`, and
+    ``("endpoints", (cov, ts))`` for their exact endpoints at the times
+    ``ts``.  Each round of the walk probes ``+-d_dir`` along each direction
     basis row and ``+-d_a0``, and moves to the best probe or halves both
     steps; the walk runs while the miss is above 0.05, for at most 30
     rounds.  Newton solves ``x(t; c, a0) = q`` on exact endpoints: ``2n + 1``
@@ -872,148 +877,123 @@ def _refine_candidate(model, chart, p, q, C, A0, T0, cfg, t_max):
     spheres' extra ambient row).  A round takes a forward-difference
     Jacobian from ``2n + 2`` rows and accepts the first of the steps 1, 1/2,
     1/4, 1/8 that lowers the miss and keeps ``t`` in ``(0, t_max]``; it
-    stops when none does.  A tick runs one round of every lane still
-    walking, with one flow call for all their probes, and one round of every
-    lane in Newton, with one flow call for all their Jacobian rows and one
-    for all their trial steps.  The flow and the other elementwise steps
-    act on all lanes at once; the chart product, the direction basis and
-    Newton's solve stay per lane, because the bits of a BLAS call depend on
-    its shape.  So each lane's numbers are those of its refine alone.
+    stops when none does.
 
-    A lane is dropped, and neither refined further nor counted, once an
-    earlier lane has finished within ``hit_tol`` at a flight time more than
-    0.2 below the lane's seed: the seed is longer than a connection in hand.
-    Returns ``(miss, t, c, a0, stalled, rounds)``: per refined lane the exact
-    miss at flight time ``t`` after Newton, its direction and Reeb momentum,
-    and whether Newton stalled above ``hit_tol``, as arrays in lane order,
-    then the rounds summed over those lanes.  Directions are unit rows in the
-    frame coordinates of ``chart``, the only route from them to covectors.
+    Returns ``(miss, t, c, a0, stalled, rounds)``: the exact miss at flight
+    time ``t``, the direction (a unit row of ``chart``'s frame coordinates)
+    and Reeb momentum, whether Newton stalled above ``hit_tol``, and the
+    rounds made.
     """
-    mode = cfg.mode
     # keep the local horizon tight around the seeded flight time: a generous
     # window lets the closest approach jump to an unrelated longer connection
     # and the walk leaks out of the seeded basin
-    t_loc = np.minimum(np.maximum(1.15 * T0 + 0.2, 0.3), t_max)
-    n_steps = np.maximum(16, np.rint(t_loc / cfg.search_step).astype(int))
+    t_loc = min(max(1.15 * t_seed + 0.2, 0.3), t_max)
+    n_steps = max(16, int(round(t_loc / cfg.search_step)))
     # riem momenta stay on the unit sphere; sub momenta within alpha0_cap,
     # since near p Newton's a0 column shrinks with t and its steps blow up
-    cap = 1.0 if mode == "riem" else cfg.alpha0_cap
+    cap = 1.0 if cfg.mode == "riem" else cfg.alpha0_cap
+    c = _unit(c)
+    miss, t_at = yield "sampled", (chart(c[None], [a0]), t_loc, n_steps)
+    miss, t_at = float(miss[0]), float(t_at[0])
+    d_dir, d_a0 = 0.25, 0.5
+    rounds = 0
+    while rounds < min(30, cfg.max_refine_rounds) and miss > 0.05:
+        rounds += 1
+        # +-d_dir along each basis row in turn, then +-d_a0
+        B = _direction_basis(c)
+        moved = _unit(np.stack([c + d_dir * B, c - d_dir * B], axis=1).reshape(-1, c.size))
+        probes_c = np.vstack([moved, c, c])
+        probes_a = [a0] * len(moved) + [min(a0 + d_a0, cap), max(a0 - d_a0, -cap)]
+        pm, pt = yield "sampled", (chart(probes_c, probes_a), t_loc, n_steps)
+        k = int(np.argmin(pm))
+        if pm[k] < miss:
+            c, a0 = probes_c[k], probes_a[k]
+            miss, t_at = float(pm[k]), float(pt[k])
+        else:
+            d_dir *= 0.5
+            d_a0 *= 0.5
+            if d_dir < 1e-4:
+                break
+
     eps = 1e-6
     halvings = 0.5 ** np.arange(4)
-    compass_cap = min(30, cfg.max_refine_rounds)
-
-    def covectors(cs, a0s):
-        return np.concatenate([chart(ci, ai) for ci, ai in zip(cs, a0s)])
-
-    def split(values, sizes):
-        ends = np.cumsum(sizes).tolist()
-        return [values[end - size:end] for size, end in zip(sizes, ends)]
-
-    def closest(lanes, cs, a0s):
-        """Each lane's sampled closest approaches of its probe rows, in one flow call."""
-        cov, sizes = covectors(cs, a0s), [len(ci) for ci in cs]
-        m, tt = _batched_closest_approach(
-            model, np.broadcast_to(p, cov.shape), cov, np.repeat(t_loc[lanes], sizes),
-            np.repeat(n_steps[lanes], sizes), q, mode,
+    stalled = False
+    while rounds < cfg.max_refine_rounds:
+        rounds += 1
+        # the centre row, then one forward-difference row per unknown (the
+        # direction basis, a0, t), each row at its own time
+        B = _direction_basis(c)
+        X = yield "endpoints", (
+            chart(np.vstack([c, _unit(c + eps * B), c, c]), [a0] * (len(B) + 1) + [a0 + eps, a0]),
+            [t_at] * (len(B) + 2) + [t_at + eps],
         )
-        return split(m, sizes), split(tt, sizes)
-
-    def endpoints(cs, a0s, ts):
-        """Each lane's exact endpoints at its own times, in one flow call."""
-        cov = covectors(cs, a0s)
-        X = model.flow_points(np.broadcast_to(p, cov.shape), cov, np.concatenate(ts)[:, None], mode)
-        return split(X[:, 0], [len(ci) for ci in cs])
-
-    lanes = len(T0)
-    c = _unit(np.asarray(C, dtype=float))
-    a0 = np.array(A0, dtype=float)
-    every = np.arange(lanes)
-    pm, pt = closest(every, c[:, None], a0[:, None])
-    miss, t_at = np.concatenate(pm), np.concatenate(pt)
-    d_dir, d_a0 = np.full(lanes, 0.25), np.full(lanes, 0.5)
-    rounds = np.zeros(lanes, dtype=int)
-    stalled = np.zeros(lanes, dtype=bool)
-    phase = np.full(lanes, _COMPASS)
-
-    def next_phase(i):
-        if phase[i] == _COMPASS and not (rounds[i] < compass_cap and miss[i] > 0.05):
-            phase[i] = _NEWTON
-        if phase[i] == _NEWTON and rounds[i] >= cfg.max_refine_rounds:
-            phase[i] = _DONE
-
-    for i in every:
-        next_phase(i)
-    while True:
-        # the skip rule of a lane-by-lane refine in seed order: a lane kept
-        # there has no earlier hit shorter than its seed by 0.2, and a lane
-        # dropped here has one, itself kept or dropped by a kept one
-        running = (phase == _COMPASS) | (phase == _NEWTON)
-        for i in np.flatnonzero((phase == _DONE) & (miss <= cfg.hit_tol)):
-            phase[running & (every > i) & (T0 > t_at[i] + 0.2)] = _DROPPED
-        walking = np.flatnonzero(phase == _COMPASS)
-        newton = np.flatnonzero(phase == _NEWTON)
-        if not (walking.size or newton.size):
+        miss = float(np.linalg.norm(X[0] - q))
+        delta = np.linalg.lstsq((X[1:] - X[0]).T / eps, q - X[0], rcond=None)[0]
+        trial_c = _unit(c + np.outer(halvings, delta[:-2] @ B))
+        trial_a = np.clip(a0 + halvings * delta[-2], -cap, cap)
+        trial_t = t_at + halvings * delta[-1]
+        X = yield "endpoints", (chart(trial_c, trial_a), trial_t)
+        trial_miss = np.linalg.norm(X - q, axis=-1)
+        better = (trial_t > 0.0) & (trial_t <= t_max) & (trial_miss < miss)
+        if not better.any():
+            stalled = miss > cfg.hit_tol
             break
+        k = int(np.argmax(better))
+        c, a0, t_at, miss = trial_c[k], trial_a[k], float(trial_t[k]), float(trial_miss[k])
+    return miss, t_at, c, a0, stalled, rounds
 
-        if walking.size:
-            probes = []
-            for i in walking:
-                rounds[i] += 1
-                # +-d_dir along each basis row in turn, then +-d_a0
-                B = _direction_basis(c[i])
-                moved = _unit(np.stack([c[i] + d_dir[i] * B, c[i] - d_dir[i] * B], axis=1)
-                              .reshape(-1, c.shape[1]))
-                probes.append((np.vstack([moved, c[i], c[i]]),
-                               [a0[i]] * len(moved)
-                               + [min(a0[i] + d_a0[i], cap), max(a0[i] - d_a0[i], -cap)]))
-            pm, pt = closest(walking, *zip(*probes))
-            for i, (probes_c, probes_a), pm_i, pt_i in zip(walking, probes, pm, pt):
-                k = int(np.argmin(pm_i))
-                if pm_i[k] < miss[i]:
-                    c[i], a0[i] = probes_c[k], probes_a[k]
-                    miss[i], t_at[i] = pm_i[k], pt_i[k]
-                else:
-                    d_dir[i] *= 0.5
-                    d_a0[i] *= 0.5
-                    if d_dir[i] < 1e-4:
-                        phase[i] = _NEWTON
-                next_phase(i)
 
-        if newton.size:
-            # Newton on (c, a0, t): the centre row, then one forward-difference
-            # row per unknown (the direction basis, a0, t), each row at its own time
-            bases = [_direction_basis(c[i]) for i in newton]
-            X = endpoints(*zip(*(
-                (np.vstack([c[i], _unit(c[i] + eps * B), c[i], c[i]]),
-                 [a0[i]] * (len(B) + 1) + [a0[i] + eps, a0[i]],
-                 [t_at[i]] * (len(B) + 2) + [t_at[i] + eps])
-                for i, B in zip(newton, bases)
-            )))
-            trials = []
-            for i, B, X_i in zip(newton, bases, X):
-                rounds[i] += 1
-                miss[i] = np.linalg.norm(X_i[0] - q)
-                delta = np.linalg.lstsq((X_i[1:] - X_i[0]).T / eps, q - X_i[0], rcond=None)[0]
-                trials.append((_unit(c[i] + np.outer(halvings, delta[:-2] @ B)),
-                               np.clip(a0[i] + halvings * delta[-2], -cap, cap),
-                               t_at[i] + halvings * delta[-1]))
-            trial_X = endpoints(*zip(*trials))
-            for i, (trial_c, trial_a, trial_t), X_i in zip(newton, trials, trial_X):
-                trial_miss = np.linalg.norm(X_i - q, axis=-1)
-                better = (trial_t > 0.0) & (trial_t <= t_max) & (trial_miss < miss[i])
-                if not better.any():
-                    stalled[i] = miss[i] > cfg.hit_tol
-                    phase[i] = _DONE
-                    continue
-                k = int(np.argmax(better))
-                c[i], a0[i], t_at[i], miss[i] = trial_c[k], trial_a[k], trial_t[k], trial_miss[k]
-                next_phase(i)
+def _refine_candidate(model, chart, p, q, C, A0, T0, cfg, t_max):
+    """The refines (:func:`_refine_seed`) of one pass's seeds, run by :func:`_drive`.
 
+    The seeds are the rows of ``C`` (directions), ``A0`` and ``T0`` (seeded
+    flight times, in increasing order).  Each tick makes one
+    :func:`_batched_closest_approach` call for all sampled requests and one
+    ``flow_points`` call for all endpoint requests.  The flow acts row by
+    row and the BLAS calls stay in each seed's generator, so each seed's
+    numbers are those of its refine alone.
+
+    A seed is skipped once an earlier seed has hit within ``hit_tol`` at a
+    flight time more than 0.2 below its own: the seed is longer than a
+    connection in hand.  The rule stops such a seed's refine once the hit is
+    in hand, and picks the kept seeds at the end, since a seed can finish
+    before the hit that skips it.  Returns ``(miss, t, c, a0, stalled,
+    rounds)``: the first five of each kept seed's result, as arrays in seed
+    order, then the rounds summed over the kept seeds.
+    """
+    mode = cfg.mode
+
+    def sampled(asks):
+        """Each ask's closest approaches ``(miss, t)``, in one flow call."""
+        rows, T, n = zip(*asks)
+        sizes = [len(r) for r in rows]
+        cov = np.concatenate(rows)
+        miss, t = _batched_closest_approach(
+            model, np.broadcast_to(p, cov.shape), cov, np.repeat(T, sizes), np.repeat(n, sizes),
+            q, mode,
+        )
+        cuts = np.cumsum(sizes)[:-1]
+        return zip(np.split(miss, cuts), np.split(t, cuts))
+
+    def endpoints(asks):
+        """Each ask's exact endpoints at its own times, in one flow call."""
+        rows, ts = zip(*asks)
+        cov = np.concatenate(rows)
+        X = model.flow_points(np.broadcast_to(p, cov.shape), cov, np.concatenate(ts)[:, None], mode)
+        return np.split(X[:, 0], np.cumsum([len(r) for r in rows])[:-1])
+
+    def after_a_hit(t_seed, refined):
+        return any(miss <= cfg.hit_tol and t_seed > t + 0.2 for miss, t, *_ in refined)
+
+    seeds = [_refine_seed(chart, q, c, a0, t_seed, cfg, t_max) for c, a0, t_seed in zip(C, A0, T0)]
+    results = _drive(seeds, {"sampled": sampled, "endpoints": endpoints},
+                     lambda i, done: after_a_hit(T0[i], [r for r in done[:i] if r is not None]))
     kept = []
-    for i in every:
-        if not any(miss[j] <= cfg.hit_tol and T0[i] > t_at[j] + 0.2 for j in kept):
-            kept.append(i)
-    return miss[kept], t_at[kept], c[kept], a0[kept], stalled[kept], int(rounds[kept].sum())
+    for t_seed, r in zip(T0, results):
+        if not after_a_hit(t_seed, kept):
+            kept.append(r)
+    miss, t, c, a0, stalled, rounds = zip(*kept)
+    return np.array(miss), np.array(t), np.array(c), np.array(a0), np.array(stalled), sum(rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -1064,7 +1044,8 @@ def estimate_diameter(
     ps = model.random_points(rng, pair_samples)
     qs = model.random_points(rng, pair_samples)
     searches = [_pair_search(model, ps[i], qs[i], cfg) for i in range(pair_samples)]
-    results = _run_searches(model, searches)
+    certify = partial(_certify, model, step=ShootingConfig.certify_step)
+    results = _drive(searches, {"certify": certify})
     pairs = [PairResult(i, ps[i], qs[i], results[i]) for i in range(pair_samples)]
     converged = [pr for pr in pairs if pr.result.converged]
     worst = max(converged, key=lambda pr: pr.result.distance, default=None)

@@ -165,6 +165,8 @@ class TestExitCodes:
             (["cc-distance", *heis, "--alpha0-max", "-1"], "--alpha0-max", nonpositive),
             (["cc-distance", *heis, "--alpha0-max", "0"], "--alpha0-max", nonpositive),
             (["check-identities", "--tol", "nan"], "--tol", nonfinite),
+            (["check-identities", "--tol", "-1"], "--tol", nonpositive),
+            (["check-identities", "--tol", "0"], "--tol", nonpositive),
             (["dhomothety", "--mu", "inf"], "--mu", nonfinite),
             (["dhomothety", "--mu", "-1"], "--mu", nonpositive),
             (["dhomothety", "--mu", "0"], "--mu", nonpositive),
@@ -173,12 +175,17 @@ class TestExitCodes:
             (["myers-verify", "--pairs", "-1"], "--pairs", count),
             (["diameter", "--pairs", "0"], "--pairs", count),
             (["geodesic", "--steps", "0"], "--steps", count),
+            (["geodesic", "--steps", "5"], "--steps", "need at least 16 steps"),
+            (["geodesic", "--steps", "15"], "--steps", "need at least 16 steps"),
             (["check-identities", "--points", "-3"], "--points", count),
             (["check-identities", "--points", "two"], "--points", "invalid int value"),
             (["functionals", "--nodes", "-4"], "--nodes", count),
             (["functionals", "--nodes", "3"], "--nodes", "need at least 16 nodes"),
             (["functionals", "--nodes", "8"], "--nodes", "need at least 16 nodes"),
             (["functionals", "--nodes", "15"], "--nodes", "need at least 16 nodes"),
+            (["functionals", "--grid", "64x128x2"], "--grid", "expected <n_theta>x<n_phi>"),
+            (["functionals", "--grid", "64"], "--grid", "expected <n_theta>x<n_phi>"),
+            (["functionals", "--grid", "ax128"], "--grid", "expected <n_theta>x<n_phi>"),
         ]
         for argv, flag, what in cases:
             code, out, err = run(capsys, *argv)
@@ -191,6 +198,9 @@ class TestExitCodes:
         ratio = "deformation ratio must be a finite positive number in [1e-4, 1e4]"
         cases = [
             (["functionals", "--lmax", "-1"], "need lmax >= 0"),
+            # a well-formed grid that S2Grid rejects keeps S2Grid's message
+            (["functionals", "--grid", "0x128"], "need lmax >= 0 and n_theta, n_phi >= 1"),
+            (["functionals", "--grid", "16x128"], "need n_theta > lmax for exact analysis"),
             (["dhomothety", "--mu", "2", "--samples", "0"], "samples must be at least 1"),
             (["dhomothety", "--mu", "1e-300"], ratio),
             (["dhomothety", "--mu", "1e20"], ratio),

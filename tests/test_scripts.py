@@ -1,5 +1,5 @@
 """Smoke runs of the experiment scripts under ``scripts/``, the benchmark recorder's pairing
-and the search and CLI report comparisons' summaries."""
+and the search and CLI report comparisons' summaries and flow-call counter."""
 
 import importlib.util
 import json
@@ -7,6 +7,10 @@ import os
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
+
+from sasakigeo import models, subriemannian as sr
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -229,3 +233,47 @@ def test_compare_cli_reports_exit_key_and_value_changes_and_the_largest_gap():
     # a command missing from the change has every key of the base only on one side
     gone = cmp.compare_cli(base, {"a": base["a"]})
     assert gone["b"]["exit"] == (3, None) and gone["b"]["key_changes"] == ["distance"]
+
+
+def test_compare_searches_prints_the_refine_flow_calls_after_the_rounds():
+    cmp = load_script("compare_searches")
+    rows = {"a": [["converged", 1.0, 1e-6, 10], ["converged", 2.0, 2e-6, 12]]}
+    line = cmp.set_line("a", cmp.compare(rows, rows)["a"], (31, 27))
+    assert line.startswith("a ") and line.endswith("rounds 22/22  flow calls 31/27")
+
+
+class CountingHeisenberg(models.HeisenbergModel):
+    def __init__(self):
+        super().__init__()
+        self.points_calls = 0
+
+    def flow_points(self, *args):
+        self.points_calls += 1
+        return super().flow_points(*args)
+
+
+def test_compare_searches_counts_the_flow_calls_inside_the_refine(monkeypatch):
+    # every closest-approach and endpoint call but the coarse scan of each pass
+    cmp = load_script("compare_searches")
+    counts = {"closest": 0, "passes": 0}
+    closest, search_once = sr._batched_closest_approach, sr._search_once
+
+    def counted_closest(*args):
+        counts["closest"] += 1
+        return closest(*args)
+
+    def counted_search(*args):
+        counts["passes"] += 1
+        return search_once(*args)
+
+    monkeypatch.setattr(sr, "_batched_closest_approach", counted_closest)
+    monkeypatch.setattr(sr, "_search_once", counted_search)
+    monkeypatch.setattr(sr, "_refine_candidate", sr._refine_candidate)  # undone after the test
+    namespace = {}
+    exec(cmp._COUNT_FLOWS, namespace)
+    calls = namespace["count_refine_flows"](sr)
+    model = CountingHeisenberg()
+    sr.cc_distance(model, np.zeros(3), np.array([1.0, 0.0, 0.0]))
+    assert counts["passes"] > 0 and model.points_calls > 0
+    assert calls[0] == counts["closest"] - counts["passes"] + model.points_calls
+    assert "flow_points" not in vars(model)

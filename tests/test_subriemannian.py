@@ -437,22 +437,76 @@ class TestLanes:
     )
     def test_lanes_equal_seeds_refined_in_turn(self, key, mode, seed, monkeypatch):
         # every pass of a search: the same seeds refined, the same rounds, and
-        # each seed's (miss, t, c, a0) bit for bit
+        # each seed's (miss, t, c, a0) bit for bit; in the s3 and Heisenberg
+        # searches a seed finishes before the hit that skips it, so the final
+        # filter, not the early stop, leaves it out, and in the s5 and
+        # Heisenberg searches the early stop ends a seed before it finishes
         model = models.get_model(key)
-        passes = []
-        refine = sr._refine_candidate
+        passes, finished = [], []
+        refine, drive = sr._refine_candidate, sr._drive
 
         def recorded(*args):
             out = refine(*args)
             passes.append((args, out))
             return out
 
+        def driven(gens, answer, *drop):
+            results = drive(gens, answer, *drop)
+            if "sampled" in answer:
+                finished.append(sum(r is not None for r in results))
+            return results
+
         monkeypatch.setattr(sr, "_refine_candidate", recorded)
+        monkeypatch.setattr(sr, "_drive", driven)
         p, q = model.random_points(np.random.default_rng(seed), 2)
         sr.cc_distance(model, p, q, sr.ShootingConfig(seed=seed, mode=mode))
-        assert passes
+        assert passes and len(finished) == len(passes)
         for args, out in passes:
             _assert_lanes_equal(out, _refine_in_turn(*args))
+        if key in ("s3", "heisenberg"):
+            assert any(done > len(out[0]) for done, (_, out) in zip(finished, passes))
+        if key in ("s5", "heisenberg"):
+            assert any(done < len(args[6]) for done, (args, _) in zip(finished, passes))
+
+    def test_seeds_share_flow_calls(self, monkeypatch):
+        # one pass of 7 seeds: each tick answers every pending request of a
+        # kind with one flow call, so the pass makes fewer calls than its seeds
+        # make requests, and gets the numbers of the seeds refined in turn
+        model = models.get_model("s3")
+        passes = []
+        refine, drive = sr._refine_candidate, sr._drive
+        monkeypatch.setattr(sr, "_refine_candidate",
+                            lambda *args: passes.append(args) or refine(*args))
+        p, q = model.random_points(np.random.default_rng(5), 2)
+        sr.cc_distance(model, p, q, sr.ShootingConfig(seed=5, confirm_rounds=0))
+        args = passes[0]
+        assert len(args[6]) >= 3
+        calls = {"sampled": 0, "endpoints": 0}
+        requests = dict(calls)
+
+        def counted(kind, flow):
+            def call(*a):
+                calls[kind] += 1
+                return flow(*a)
+            return call
+
+        def asked(kind, reply):
+            def answer(payloads):
+                requests[kind] += len(payloads)
+                return reply(payloads)
+            return answer
+
+        monkeypatch.setattr(sr, "_batched_closest_approach",
+                            counted("sampled", sr._batched_closest_approach))
+        monkeypatch.setattr(model, "flow_points", counted("endpoints", model.flow_points),
+                            raising=False)
+        monkeypatch.setattr(sr, "_drive", lambda gens, answer, *drop: drive(
+            gens, {kind: asked(kind, reply) for kind, reply in answer.items()}, *drop))
+        out = refine(*args)
+        for kind in calls:
+            assert 0 < calls[kind] < requests[kind], kind
+        monkeypatch.undo()
+        _assert_lanes_equal(out, _refine_in_turn(*args))
 
     def test_a_seed_longer_than_a_hit_is_not_refined(self, heis):
         # lane 0 lands on q = (1, 0, 0) at t = 1 along the straight line; lane
