@@ -146,17 +146,32 @@ class SasakiModel(abc.ABC):
     def hamiltonian(self, x: np.ndarray, a: np.ndarray, mode: str = "sub") -> np.ndarray:
         """``mode='sub'``: H = (1/2) g^{-1}(a, a) - (1/2) a(xi)^2; ``'riem'`` keeps the full kinetic term."""
 
-    def hamiltonian_rhs(self, state: np.ndarray, mode: str = "sub") -> np.ndarray:
-        """Hamilton's equations ``[dH/da | -dH/dx]`` at the state rows ``[x | a]``."""
-        return self._weighted_rhs(state, _REEB_WEIGHTS[mode])
+    def hamiltonian_rhs(
+        self, state: np.ndarray, mode: str = "sub", out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Hamilton's equations ``[dH/da | -dH/dx]`` at the state rows ``[x | a]``.
+
+        ``out``, if given, is a C-contiguous array of the state's shape that
+        does not overlap it; the field is written there and returned.
+        """
+        return self._weighted_rhs(state, _REEB_WEIGHTS[mode], out)
 
     @abc.abstractmethod
-    def _weighted_rhs(self, state: np.ndarray, reeb_weight: float) -> np.ndarray:
+    def _weighted_rhs(
+        self, state: np.ndarray, reeb_weight: float, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Hamilton's equations of ``H_sub + reeb_weight a0^2 / 2`` at the state rows."""
 
-    def project_state(self, state: np.ndarray) -> np.ndarray:
-        """Per-step renormalisation of the state rows ``[x | a]`` (default: none)."""
-        return state
+    def project_state(self, state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Per-step renormalisation of the state rows ``[x | a]`` (default: none).
+
+        ``out``, if given, is an array of the state's shape that does not
+        overlap it; the projected rows are written there and returned.
+        """
+        if out is None:
+            return state
+        np.copyto(out, state)
+        return out
 
     # -- exact flows (the shooting search requires both) -------------------
     @abc.abstractmethod

@@ -154,12 +154,13 @@ class DHomotheticModel(SasakiModel):
         a0 = src.alpha0(x, a)
         return h_horizontal / self.s + 0.5 * a0 * a0 / self.s**2
 
-    def _weighted_rhs(self, state, reeb_weight):
+    def _weighted_rhs(self, state, reeb_weight, out=None):
         # mu H_sub + weight a0_mu^2 / 2 = mu (H_sub + mu weight a0^2 / 2) in source terms
-        return self.mu * self.source._weighted_rhs(state, self.mu * reeb_weight)
+        out = self.source._weighted_rhs(state, self.mu * reeb_weight, out)
+        return np.multiply(out, self.mu, out=out)
 
-    def project_state(self, state):
-        return self.source.project_state(state)
+    def project_state(self, state, out=None):
+        return self.source.project_state(state, out)
 
     def reeb_flow(self, x, theta):
         """The flow of ``xi_mu = mu xi``: the source's Reeb flow for time ``mu theta``."""

@@ -30,7 +30,7 @@ from .quotient import (
     BasicPotential,
     PositivityError,
     S2Grid,
-    transverse_scalar_curvature,
+    _gauss_curvature,
 )
 
 __all__ = [
@@ -94,9 +94,15 @@ class PotentialPath:
     def require_positive(self) -> None:
         for seg in self.segments:
             for t, phi in zip(seg.ts, seg.phis):
-                m = phi.min_density()
-                if m <= 0.0:
-                    raise PositivityError(m, f"at path time t={float(t):.4f}")
+                _positive_at(t, phi.u())
+
+
+def _positive_at(t: float, u: np.ndarray) -> np.ndarray:
+    """The density ``u`` at path time ``t``; raises :class:`PositivityError` unless it is positive."""
+    m = float(np.min(u))
+    if m <= 0.0:
+        raise PositivityError(m, f"at path time t={float(t):.4f}")
+    return u
 
 
 def _interpolated_path(
@@ -173,8 +179,15 @@ def _require_nodes(path: PotentialPath) -> None:
         raise ValueError(f"path needs at least {MIN_NODES} quadrature nodes")
 
 
-def _segment_integral(grid: S2Grid, seg: PathSegment, node_fn) -> float:
-    vals = np.array([node_fn(phi, dot) for phi, dot in zip(seg.phis, seg.phidots)])
+def _segment_integral(seg: PathSegment, node_fn) -> float:
+    """Simpson integral of ``node_fn(u, dot)`` over the segment.
+
+    ``u`` is each node's density, formed once and checked positive, and
+    ``dot`` its velocity.
+    """
+    vals = np.array(
+        [node_fn(_positive_at(t, phi.u()), dot) for t, phi, dot in zip(seg.ts, seg.phis, seg.phidots)]
+    )
     return float(_simpson(vals, seg.ts))
 
 
@@ -182,12 +195,9 @@ def functional_L(path: PotentialPath) -> float:
     """Path integral of the mean velocity against the deformed measure."""
     _require_grid(path.grid)
     _require_nodes(path)
-    path.require_positive()
     grid = path.grid
     return sum(
-        _segment_integral(
-            grid, seg, lambda phi, dot: grid.mean(dot.values * phi.u())
-        )
+        _segment_integral(seg, lambda u, dot: grid.mean(dot.values * u))
         for seg in path.segments
     )
 
@@ -219,13 +229,10 @@ def functional_J(
     _require_grid(path.grid)
     _require_nodes(path)
     _require_endpoints(phi_a, phi_b, path)
-    path.require_positive()
     grid = path.grid
     u_a = phi_a.u()
     return sum(
-        _segment_integral(
-            grid, seg, lambda phi, dot: grid.mean(dot.values * (u_a - phi.u()))
-        )
+        _segment_integral(seg, lambda u, dot: grid.mean(dot.values * (u_a - u)))
         for seg in path.segments
     )
 
@@ -246,19 +253,33 @@ def j_consistency(
 
 def functional_M(path: PotentialPath, calibration: float = 0.5) -> float:
     """Curvature energy: velocity weighted by the scalar-curvature deviation."""
+    return _functional_Ms(path, (calibration,))[0]
+
+
+def _functional_Ms(path: PotentialPath, calibrations) -> list[float]:
+    """:func:`functional_M` at each constant of ``calibrations``, in order.
+
+    Each segment's densities ``u`` and velocity fields are formed once per
+    node and its Gauss curvature fields ``K`` once, in one batched
+    transform; each constant ``c`` scales them to the scalar curvature
+    ``(c * 2.0) * K`` of :func:`transverse_scalar_curvature`.
+    """
     _require_grid(path.grid)
     _require_nodes(path)
-    path.require_positive()
     grid = path.grid
-    total = 0.0
+    totals = [0.0] * len(calibrations)
     for seg in path.segments:
-        s_t = transverse_scalar_curvature(seg.phis, calibration)  # one batch per segment
-        vals = [
-            -grid.mean(dot.values * (s - ROUND_TRANSVERSE_SCALAR) * phi.u())
-            for phi, dot, s in zip(seg.phis, seg.phidots, s_t)
-        ]
-        total += float(_simpson(vals, seg.ts))
-    return total
+        u = np.empty((len(seg.phis), grid.n_theta, grid.n_phi))
+        for k, (t, phi) in enumerate(zip(seg.ts, seg.phis)):
+            u[k] = _positive_at(t, phi.u())
+        vals = [[] for _ in calibrations]
+        for dot, K, u_k in zip(seg.phidots, _gauss_curvature(grid, u), u):
+            v = dot.values
+            for j, c in enumerate(calibrations):
+                vals[j].append(-grid.mean(v * ((c * 2.0) * K - ROUND_TRANSVERSE_SCALAR) * u_k))
+        for j, node_vals in enumerate(vals):
+            totals[j] += float(_simpson(node_vals, seg.ts))
+    return totals
 
 
 def ij_derivative_check(path: PotentialPath) -> float:
@@ -309,16 +330,16 @@ def ij_derivative_check(path: PotentialPath) -> float:
 def _stationarity_residuals(grid: S2Grid, psi: BasicPotential, calibrations) -> dict[float, float]:
     """|dM(0)(psi)| per calibration, by central differencing of M along t -> t * psi.
 
-    The difference step is 1e-2.  Each probe path is built once and serves
-    every constant.
+    The difference step is 1e-2.  Each probe path is built once, and its
+    one curvature transform serves every constant (:func:`_functional_Ms`).
     """
     eps = 1e-2
     zero = BasicPotential.zero(grid)
     m = {c: [] for c in calibrations}
     for step in (eps, -eps):
         path = linear_path(zero, psi.scaled(step))
-        for c in calibrations:
-            m[c].append(functional_M(path, c))
+        for c, value in zip(calibrations, _functional_Ms(path, calibrations)):
+            m[c].append(value)
     return {c: float(abs((fwd - bwd) / (2.0 * eps))) for c, (fwd, bwd) in m.items()}
 
 

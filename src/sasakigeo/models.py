@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -66,6 +67,12 @@ def _field_map(reeb_weight: float) -> np.ndarray:
     return P
 
 
+# Most work-array sets a sphere keeps for its field at a time, one per
+# (thread, leading shape, Reeb weight): per thread, so that threads sharing a
+# model never write into each other's arrays
+_SCRATCH_SLOTS = 8
+
+
 # Below |h| = _SERIES_CUT, sinc h and G = (1 - sinc 2h) / (2h) of the Heisenberg
 # arc come from eight Taylor terms, which reach round-off there:
 # sinc h = sum_k (-1)^k h^2k / (2k+1)!  and  G = 2h sum_k (-1)^k (2h)^2k / (2k+3)!.
@@ -103,6 +110,7 @@ class SphereModel(SasakiModel):
         # product is exact
         eye = np.eye(2 * self.ambient_dim)
         self._lift = np.concatenate((eye, self._J(eye)), axis=1)
+        self._scratch = {}
 
     @property
     def tau(self) -> float:
@@ -169,17 +177,48 @@ class SphereModel(SasakiModel):
             h = h - 0.5 * aJx * aJx
         return h
 
-    def _weighted_rhs(self, state, reeb_weight):
-        # linear in W = (x, a, Jx, Ja), with weights read off its Gram entries
-        Y = state.reshape(state.shape[:-1] + (2, self.ambient_dim))
-        W = (state @ self._lift).reshape(state.shape[:-1] + (4, self.ambient_dim))
-        G = Y @ W.swapaxes(-1, -2)
-        C = (G.reshape(G.shape[:-2] + (8,)) @ _field_map(reeb_weight)).reshape(G.shape)
-        return (C @ W).reshape(state.shape)
+    def _field_scratch(self, key):
+        """The field map and work arrays of :meth:`_weighted_rhs`, made for ``key``.
 
-    def project_state(self, state):
+        ``key`` is ``(thread, lead, reeb_weight)``, with ``lead`` the states'
+        leading shape.  Returns ``(P, W, W4, W4T, G, G8, C, C24)``: the map of
+        :func:`_field_map`, the lifted rows ``W = (x, a, Jx, Ja)`` and their
+        views (..., 4, d) and (..., d, 4), the Gram entries (..., 2, 4) and
+        their view (..., 8), and the weights (..., 8) and their view (..., 2,
+        4).  The set is kept under ``key``; at most :data:`_SCRATCH_SLOTS`
+        sets are kept at a time.
+        """
+        _, lead, reeb_weight = key
+        if len(self._scratch) >= _SCRATCH_SLOTS:
+            self._scratch.clear()
         d = self.ambient_dim
-        out = np.empty_like(state)
+        W, G, C = np.empty(lead + (4 * d,)), np.empty(lead + (2, 4)), np.empty(lead + (8,))
+        W4 = W.reshape(lead + (4, d))
+        scratch = self._scratch[key] = (
+            _field_map(reeb_weight), W, W4, W4.swapaxes(-1, -2),
+            G, G.reshape(lead + (8,)), C, C.reshape(lead + (2, 4)),
+        )
+        return scratch
+
+    def _weighted_rhs(self, state, reeb_weight, out=None):
+        # linear in W = (x, a, Jx, Ja), with weights read off its Gram entries
+        lead, d = state.shape[:-1], state.shape[-1] // 2
+        key = (threading.get_ident(), lead, reeb_weight)
+        P, W, W4, W4T, G, G8, C, C24 = self._scratch.get(key) or self._field_scratch(key)
+        if out is None:
+            out = np.empty(state.shape)
+        elif not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        np.matmul(state, self._lift, out=W)
+        np.matmul(state.reshape(lead + (2, d)), W4T, out=G)
+        np.matmul(G8, P, out=C)
+        np.matmul(C24, W4, out=out.reshape(lead + (2, d)))
+        return out
+
+    def project_state(self, state, out=None):
+        d = self.ambient_dim
+        if out is None:
+            out = np.empty_like(state)
         x, a = state[..., :d], state[..., d:]
         x = np.divide(x, np.sqrt(_dot(x, x))[..., None], out=out[..., :d])
         np.subtract(a, _dot(a, x)[..., None] * x, out=out[..., d:])
@@ -347,17 +386,18 @@ class HeisenbergModel(SasakiModel):
             h = h + 0.125 * a[..., 2] * a[..., 2]
         return h
 
-    def _weighted_rhs(self, state, reeb_weight):
+    def _weighted_rhs(self, state, reeb_weight, out=None):
         # a0 = a_z / 2, so the Reeb kinetic term reeb_weight a_z^2 / 8 moves z
+        if out is None:
+            out = np.empty(state.shape)
         y, az = state[..., 1], state[..., 5]
-        w = state[..., 3] + y * az
-        out = np.zeros(state.shape)
-        out[..., 0] = w
+        w = np.add(state[..., 3], y * az, out=out[..., 0])
         out[..., 1] = state[..., 4]
-        out[..., 2] = y * w
+        np.multiply(y, w, out=out[..., 2])
         if reeb_weight:
             out[..., 2] += (0.25 * reeb_weight) * az
-        out[..., 4] = -w * az
+        out[..., 3::2] = 0.0
+        np.multiply(-w, az, out=out[..., 4])
         return out
 
     @property

@@ -395,18 +395,31 @@ def transverse_scalar_curvature(
     single = isinstance(potentials, BasicPotential)
     stack = [potentials] if single else list(potentials)
     grid = stack[0].grid
-    # both stacks are filled field by field, and at most one is held at a time
-    logu = np.empty((len(stack), grid.n_theta, grid.n_phi))
+    u = np.empty((len(stack), grid.n_theta, grid.n_phi))
     for k, p in enumerate(stack):
-        logu[k] = p.u()
-    if np.min(logu) <= 0.0:
-        raise PositivityError(float(np.min(logu)), "while computing scalar curvature")
-    coeffs = grid.analyze(np.log(logu, out=logu))
-    del logu
-    scalar = grid.synthesize(coeffs * grid.laplace_multiplier[:, None])  # Lap log u
-    for k, p in enumerate(stack):
-        scalar[k] = calibration * 2.0 * ((QUOTIENT_CURVATURE + 0.5 * scalar[k]) / p.u())
+        u[k] = p.u()
+    if np.min(u) <= 0.0:
+        raise PositivityError(float(np.min(u)), "while computing scalar curvature")
+    scalar = _gauss_curvature(grid, u)
+    scalar *= calibration * 2.0
     return scalar[0] if single else scalar
+
+
+def _gauss_curvature(grid: S2Grid, u: np.ndarray) -> np.ndarray:
+    """``(4 + (1/2) Lap log u) / u`` of the stacked positive densities ``u`` (K, n_theta, n_phi).
+
+    The Gauss curvature of the deformed quotient metric, from one batched
+    analysis and one batched synthesis; :func:`transverse_scalar_curvature`
+    scales it by ``calibration * 2.0``.
+    """
+    coeffs = grid.analyze(np.log(u))
+    coeffs *= grid.laplace_multiplier[:, None]
+    scalar = grid.synthesize(coeffs)  # Lap log u
+    del coeffs
+    scalar *= 0.5
+    scalar += QUOTIENT_CURVATURE
+    scalar /= u
+    return scalar
 
 
 # Flow times per block of the fiber measurement: bounds the sampled orbit's

@@ -57,6 +57,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cache, partial
+from itertools import accumulate
 from typing import ClassVar
 
 import numpy as np
@@ -193,33 +194,41 @@ def _rk4_rows(model, state, h, iterations, mode):
     Returns the points and covectors, (iterations + 1, rows, d) each, as
     views of one sample buffer.  Rows are independent, so each row's samples
     are those of a one-row run bit for bit; the rows share each step's model
-    calls.  The stage arguments and the weighted sum of the stages are
-    written into two buffers, with the operations of ``y + (h / 2) k1`` and
-    ``k1 + 2 k2 + 2 k3 + k4`` in their written order.  Every step ends with
-    the model's state projection, stored straight into the sample buffer.
+    calls.  Every buffer is made once per run: the model writes the four
+    stages into their own arrays, the stage arguments and the weighted sum of
+    the stages go to two more, with the operations of ``y + (h / 2) k1`` and
+    ``k1 + 2 k2 + 2 k3 + k4`` in their written order, and every step ends
+    with the model's state projection, written straight into the sample
+    buffer.
     """
-    h = np.asarray(h, dtype=float)[:, None]
+    # each row's step repeated along the row: a same-shape product skips
+    # numpy's broadcasting, which costs more than the product on one row
+    h = np.repeat(np.asarray(h, dtype=float)[:, None], state.shape[-1], axis=1)
     half, sixth = 0.5 * h, h / 6.0
     ys = np.empty((iterations + 1,) + state.shape)
     ys[0] = y = state
     rhs, project = model.hamiltonian_rhs, model.project_state
     add, mul = np.add, np.multiply
-    stage, acc = np.empty_like(ys[0]), np.empty_like(ys[0])
+    stage, acc, k1, k2, k3, k4 = np.empty((6,) + state.shape)
     for i in range(iterations):
-        k1 = rhs(y, mode)
-        k2 = rhs(add(y, mul(half, k1, out=stage), out=stage), mode)
-        k3 = rhs(add(y, mul(half, k2, out=stage), out=stage), mode)
-        k4 = rhs(add(y, mul(h, k3, out=stage), out=stage), mode)
+        rhs(y, mode, out=k1)
+        rhs(add(y, mul(half, k1, out=stage), out=stage), mode, out=k2)
+        rhs(add(y, mul(half, k2, out=stage), out=stage), mode, out=k3)
+        rhs(add(y, mul(h, k3, out=stage), out=stage), mode, out=k4)
         add(k1, mul(2.0, k2, out=acc), out=acc)
         add(acc, mul(2.0, k3, out=stage), out=acc)
         add(acc, k4, out=acc)
-        ys[i + 1] = project(add(y, mul(sixth, acc, out=acc), out=acc))
-        y = ys[i + 1]
+        y = project(add(y, mul(sixth, acc, out=acc), out=acc), out=ys[i + 1])
     d = state.shape[-1] // 2
     return ys[..., :d], ys[..., d:]
 
 
 MIN_STEPS = 16  # fewest RK4 steps integrate_geodesic takes a path in
+# Smallest RK4 step integrate_geodesic takes.  The geodesic residual
+# differentiates the sampled velocities by finite differences, which divide
+# their round-off by the step: at unit speed the residual reads up to about
+# 2e-16 / step, 4e-7 at this floor against its bound of 1e-6.
+MIN_STEP = 5e-10
 
 
 def integrate_geodesic(
@@ -231,8 +240,8 @@ def integrate_geodesic(
     """Integrate the cotangent flow of the state's mode and record every sample.
 
     ``t_end`` must be finite and positive, ``steps`` an integer of at least
-    :data:`MIN_STEPS` and, in sub mode, the initial state must carry horizontal motion
-    (H > 0).
+    :data:`MIN_STEPS`, the step ``t_end / steps`` at least :data:`MIN_STEP`
+    and, in sub mode, the initial state must carry horizontal motion (H > 0).
     """
     mode = init.mode
     t_end = float(t_end)
@@ -242,10 +251,12 @@ def integrate_geodesic(
         raise ValueError(f"steps must be an integer count, got {steps!r}")
     if steps < MIN_STEPS:
         raise ValueError(f"steps must be >= {MIN_STEPS}")
+    h = t_end / steps
+    if h < MIN_STEP:
+        raise ValueError(f"RK4 step t_end / steps = {h:.3g} is below the floor {MIN_STEP:g}")
     h_sub = float(model.hamiltonian(init.point, init.covector, mode="sub"))
     if mode == "sub" and not h_sub > 1e-15:
         raise ValueError("initial covector has no horizontal motion (H = 0)")
-    h = t_end / steps
     state = np.concatenate((init.point, init.covector))[None]
     xs, as_ = _rk4_rows(model, state, [h], steps, mode)
     xs, as_ = xs[:, 0].copy(), as_[:, 0].copy()
@@ -963,6 +974,11 @@ def _refine_candidate(model, chart, p, q, C, A0, T0, cfg, t_max):
     """
     mode = cfg.mode
 
+    def cuts(rows):
+        """The slices of each ask's rows in their concatenation."""
+        bounds = list(accumulate((len(r) for r in rows), initial=0))
+        return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
     def sampled(asks):
         """Each ask's closest approaches ``(miss, t)``, in one flow call."""
         rows, T, n = zip(*asks)
@@ -972,15 +988,14 @@ def _refine_candidate(model, chart, p, q, C, A0, T0, cfg, t_max):
             model, np.broadcast_to(p, cov.shape), cov, np.repeat(T, sizes), np.repeat(n, sizes),
             q, mode,
         )
-        cuts = np.cumsum(sizes)[:-1]
-        return zip(np.split(miss, cuts), np.split(t, cuts))
+        return [(miss[c], t[c]) for c in cuts(rows)]
 
     def endpoints(asks):
         """Each ask's exact endpoints at its own times, in one flow call."""
         rows, ts = zip(*asks)
         cov = np.concatenate(rows)
         X = model.flow_points(np.broadcast_to(p, cov.shape), cov, np.concatenate(ts)[:, None], mode)
-        return np.split(X[:, 0], np.cumsum([len(r) for r in rows])[:-1])
+        return [X[c, 0] for c in cuts(rows)]
 
     def after_a_hit(t_seed, refined):
         return any(miss <= cfg.hit_tol and t_seed > t + 0.2 for miss, t, *_ in refined)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,21 @@ class TestExitCodes:
             assert code == EXIT_USAGE, argv
             assert out == ""
             assert f"argument {flag}: {what}" in err, err
+
+    def test_step_below_the_floor_returns_one(self, capsys):
+        # tiny horizons used to exit 2 on a round-off residual, or 1 on a NaN
+        # report after an overflow warning
+        floor = f"below the floor {subriemannian.MIN_STEP:g}"
+        for argv in (["--t-end", "1e-10"], ["--t-end", "1e-200"], ["--t-end", "1", "--steps", "3000000000"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, "geodesic", *argv)
+            assert code == EXIT_USAGE, argv
+            assert out == ""
+            assert floor in err, err
+        code, out, _ = run(capsys, "geodesic", "--t-end", "1e-8")
+        assert code == EXIT_PASS
+        assert parse_json(out)["equation_residual"] < 1e-6
 
     def test_out_of_range_size_returns_one(self, capsys):
         # all used to escape as a traceback or a numpy message

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sasakigeo import functionals as fn, quotient as qt
+from sasakigeo.numdiff import _simpson as simpson
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +113,89 @@ class TestCurvatureEnergy:
         cal = fn.calibrate_scalar_trace(grid)
         assert cal.constant == 0.5
         assert cal.residuals[0.5] < 1e-6 < cal.residuals[1.0]
+
+
+def _scalar_curvature_reference(potentials, calibration):
+    """The scalar curvature fields formed per constant, node by node: the reference."""
+    grid = potentials[0].grid
+    logu = np.empty((len(potentials), grid.n_theta, grid.n_phi))
+    for k, p in enumerate(potentials):
+        logu[k] = p.u()
+    coeffs = grid.analyze(np.log(logu, out=logu))
+    scalar = grid.synthesize(coeffs * grid.laplace_multiplier[:, None])
+    for k, p in enumerate(potentials):
+        scalar[k] = calibration * 2.0 * ((qt.QUOTIENT_CURVATURE + 0.5 * scalar[k]) / p.u())
+    return scalar
+
+
+def _functional_M_reference(path, calibration=0.5):
+    """M with one curvature transform per segment and constant: the reference loop."""
+    path.require_positive()
+    grid = path.grid
+    total = 0.0
+    for seg in path.segments:
+        s_t = _scalar_curvature_reference(seg.phis, calibration)
+        vals = [
+            -grid.mean(dot.values * (s - fn.ROUND_TRANSVERSE_SCALAR) * phi.u())
+            for phi, dot, s in zip(seg.phis, seg.phidots, s_t)
+        ]
+        total += float(simpson(vals, seg.ts))
+    return total
+
+
+class TestSharedCalibration:
+    """One curvature transform per segment serves every calibration constant."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_M_equals_the_reference_loop(self, grid, zero, seed):
+        phi = qt.random_potential(grid, np.random.default_rng(seed))
+        paths = (
+            fn.linear_path(zero, phi),
+            fn.power_path(zero, phi, 2.0, 17),
+            fn.piecewise_linear_path([zero, phi, phi.scaled(0.5)]),
+        )
+        for path in paths:
+            for c in (0.5, 1.0):
+                assert fn.functional_M(path, c) == _functional_M_reference(path, c)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_scalar_curvature_equals_the_reference(self, grid, zero, seed):
+        phi = qt.random_potential(grid, np.random.default_rng(seed))
+        stack = [zero, phi, phi.scaled(0.5)]
+        for c in (0.5, 1.0):
+            want = _scalar_curvature_reference(stack, c)
+            assert qt.transverse_scalar_curvature(stack, c).tobytes() == want.tobytes()
+            alone = _scalar_curvature_reference([phi], c)[0]
+            assert qt.transverse_scalar_curvature(phi, c).tobytes() == alone.tobytes()
+
+    def test_two_constants_equal_two_one_constant_calls(self, grid):
+        psi = qt.random_potential(grid, np.random.default_rng(5)).shifted(0.01)
+        both = fn._stationarity_residuals(grid, psi, (0.5, 1.0))
+        assert both == {
+            0.5: fn._stationarity_residuals(grid, psi, (0.5,))[0.5],
+            1.0: fn._stationarity_residuals(grid, psi, (1.0,))[1.0],
+        }
+        assert both[0.5] == fn.stationarity_residual(grid, psi, 0.5)
+
+    def test_calibration_analyzes_each_probe_path_once(self, grid, monkeypatch):
+        calls = []
+        analyze = grid.analyze
+        monkeypatch.setattr(grid, "analyze", lambda X: calls.append(1) or analyze(X))
+        fn.calibrate_scalar_trace(grid)
+        assert len(calls) == 2
+
+    def test_non_positive_node_reports_path_time(self, grid, zero):
+        # L, J and M check each node's density as they form it, and stop at
+        # the node require_positive names
+        big = qt.harmonic_potential(grid, 2, 1, 0.2)
+        path = fn.piecewise_linear_path([zero, big.scaled(0.1), big])
+        with pytest.raises(qt.PositivityError) as expected:
+            path.require_positive()
+        assert "path time" in str(expected.value)
+        for functional in (fn.functional_L, fn.functional_M, lambda p: fn.functional_J(zero, big, p)):
+            with pytest.raises(qt.PositivityError) as caught:
+                functional(path)
+            assert str(caught.value) == str(expected.value)
 
 
 class TestDerivativeIdentity:

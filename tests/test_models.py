@@ -1,5 +1,8 @@
 """Model construction, registry keys, sampling, and closed-form flows."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -381,3 +384,93 @@ class TestGramField:
         assert out.shape == state.shape
         assert np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0)) <= 1e-15
         assert np.max(np.abs(np.sum(a * x, axis=-1))) <= 1e-15
+
+
+class TestOutArguments:
+    """``hamiltonian_rhs(out=)`` and ``project_state(out=)`` equal the allocating calls bit for bit."""
+
+    @pytest.mark.parametrize("key", ["s3", "s5", "heisenberg", "s3-dhom:2.0"])
+    @pytest.mark.parametrize("mode", ["sub", "riem"])
+    @pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 3)])
+    def test_out_equals_the_allocating_call(self, key, mode, lead):
+        model = get_model(key)
+        d = model.ambient_dim
+        rng = np.random.default_rng(53)
+        state = np.concatenate(
+            (1.2 * rng.standard_normal(lead + (d,)), rng.standard_normal(lead + (d,))), axis=-1
+        )
+        before = state.copy()
+        buf = np.full(state.shape, np.nan)
+        got = model.hamiltonian_rhs(state, mode, out=buf)
+        assert got is buf
+        want = model.hamiltonian_rhs(state, mode)
+        assert want.tobytes() == got.tobytes()
+        buf = np.full(state.shape, np.nan)
+        got = model.project_state(state, out=buf)
+        assert got is buf
+        assert model.project_state(state).tobytes() == got.tobytes()
+        assert state.tobytes() == before.tobytes()
+
+    def test_a_deformed_model_does_not_disturb_its_source(self):
+        # s3-dhom:2.0 in riem mode runs the field of its source s3 at Reeb
+        # weight 2, on the same leading shapes as s3's own calls
+        s3 = get_model("s3")
+        deformed = dhomothety.apply(s3, 2.0)
+        assert deformed.source is s3
+        rng = np.random.default_rng(54)
+        states = [rng.standard_normal((3, 8)) for _ in range(4)]
+        want_s3 = [get_model("s3").hamiltonian_rhs(s, "riem") for s in states]
+        want_def = [get_model("s3-dhom:2.0").hamiltonian_rhs(s, "riem") for s in states]
+        out = np.empty((3, 8))
+        for s, w3, wd in zip(states, want_s3, want_def):
+            assert s3.hamiltonian_rhs(s, "riem").tobytes() == w3.tobytes()
+            assert deformed.hamiltonian_rhs(s, "riem", out=out).tobytes() == wd.tobytes()
+            assert s3.hamiltonian_rhs(s, "riem", out=out).tobytes() == w3.tobytes()
+            assert deformed.hamiltonian_rhs(s, "riem").tobytes() == wd.tobytes()
+
+    @pytest.mark.parametrize("key", ["s3", "s5", "heisenberg", "s3-dhom:2.0"])
+    def test_allocating_calls_return_new_arrays(self, key):
+        model = get_model(key)
+        rng = np.random.default_rng(55)
+        s1, s2 = rng.standard_normal((2, 3, 2 * model.ambient_dim))
+        for method in (model.hamiltonian_rhs, model.project_state):
+            first = method(s1)
+            kept = first.copy()
+            second = method(s2)
+            assert second is not first
+            assert not np.shares_memory(first, second)
+            assert first.tobytes() == kept.tobytes()
+
+    def test_sphere_field_refuses_a_strided_out(self, s3):
+        state = np.zeros((2, 8))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            s3.hamiltonian_rhs(state, "sub", out=np.empty((8, 2)).T)
+
+    def test_threads_sharing_a_sphere_get_their_own_work_arrays(self):
+        # the sphere keeps its field's work arrays per thread: two threads on
+        # one model and one leading shape must not see each other's
+        model = get_model("s5")
+        rng = np.random.default_rng(56)
+        states = rng.standard_normal((2, 3, 12))
+        want = [get_model("s5").hamiltonian_rhs(s, "riem") for s in states]
+        bad = []
+
+        def work(i):
+            out = np.empty((3, 12))
+            for _ in range(2000):
+                if model.hamiltonian_rhs(states[i], "riem", out=out).tobytes() != want[i].tobytes():
+                    bad.append(i)
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1, 0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []

@@ -59,6 +59,20 @@ class TestIntegration:
         with pytest.raises(ValueError, match="t_end"):
             sr.integrate_geodesic(s3, state, t_end, 100)
 
+    def test_step_below_the_floor_rejected(self, s3):
+        # finite differences of the path would divide its round-off by the step
+        x = np.array([1.0, 0, 0, 0])
+        u = s3.orthonormal_frame(x)[0]
+        state = sr.CotangentState.make(s3, x, s3.covector_from(x, u, 0.0))
+        floor = sr.MIN_STEPS * sr.MIN_STEP
+        path = sr.integrate_geodesic(s3, state, floor, sr.MIN_STEPS)
+        assert sr.geodesic_residual(s3, path).passed
+        for t_end in (0.99 * floor, 1e-10, 1e-200):
+            with pytest.raises(ValueError, match=f"below the floor {sr.MIN_STEP:g}"):
+                sr.integrate_geodesic(s3, state, t_end, sr.MIN_STEPS)
+        with pytest.raises(ValueError, match="below the floor"):
+            sr.integrate_geodesic(s3, state, 1.0, 10**10)
+
     @pytest.mark.parametrize("steps", [16.5, 100.0, True, (40, 16.5), (40, True), ()])
     def test_non_integral_steps_rejected(self, s3, steps):
         x = np.array([1.0, 0, 0, 0])
@@ -164,6 +178,27 @@ class TestRowBatchedRK4:
             xs, as_ = _rk4_one_row(model, state, 1.3, steps)
             assert np.array_equal(alone.points, xs)
             assert np.array_equal(alone.covectors, as_)
+
+    @pytest.mark.parametrize(
+        "key, mode", [("s3", "sub"), ("s5", "riem"), ("heisenberg", "sub"), ("s3-dhom:2.0", "riem")]
+    )
+    def test_rows_at_three_step_sizes_equal_one_row_loops(self, key, mode):
+        # the stage buffers of one run serve all its rows: each of three rows,
+        # each at its own step, is the plain batch-1 loop at that step
+        model = models.get_model(key)
+        rng = np.random.default_rng(62)
+        states = []
+        for a0 in (0.6, -0.3, 1.1):
+            x = model.random_points(rng, 1)[0]
+            u = model.random_unit_horizontal(rng, x[None])[0]
+            states.append(sr.CotangentState.make(model, x, model.covector_from(x, 0.8 * u, a0), mode))
+        steps, t_ends = 30, (0.7, 1.3, 2.1)
+        rows = np.array([np.concatenate((st.point, st.covector)) for st in states])
+        xs, as_ = sr._rk4_rows(model, rows, [t / steps for t in t_ends], steps, mode)
+        for i, (state, t_end) in enumerate(zip(states, t_ends)):
+            x1, a1 = _rk4_one_row(model, state, t_end, steps)
+            assert xs[:, i].tobytes() == x1.tobytes()
+            assert as_[:, i].tobytes() == a1.tobytes()
 
     def test_every_count_is_checked(self, s3):
         # a path has one step count: a tuple of them is not a count
