@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -27,7 +28,15 @@ EXIT_BUDGET = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the usage-error exit code pinned to 1."""
+    """argparse with the usage-error exit code pinned to 1.
+
+    A value that starts with a minus sign and a digit, such as the vector
+    ``-1,0,0,0`` or the number ``-1e-3``, is read as a value, not an option.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d[\d.eE+,-]*$")
 
     def error(self, message):  # noqa: A003 - argparse API
         self.print_usage(sys.stderr)

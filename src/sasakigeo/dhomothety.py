@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SasakiModel, ricci, ricci_transverse
+from .core import SasakiModel, _ricci_transverse_trace, ricci
 
 __all__ = [
     "DHomotheticModel",
@@ -213,19 +213,29 @@ def volume_scaling_check(
     deformed = apply(model, mu)
     rng = np.random.default_rng(seed)
     x = model.random_points(rng, samples)
-    frame = model.orthonormal_frame(x)
+    frame = list(np.moveaxis(model.orthonormal_frame(x), -2, 0))
     dim = model.dim
+    # Each metric here is the base metric or its deformation by a scale s, so
+    # each base entry and each frame vector's eta are formed once.
+    base = deformed.source
+    eta = [base.eta(x, f) for f in frame]
+    gram = np.empty(x.shape[:-1] + (dim, dim))
+    for i in range(dim):
+        for j in range(i, dim):
+            gram[..., i, j] = gram[..., j, i] = base.metric(x, frame[i], frame[j])
 
-    def gram(m):
-        g = np.empty(x.shape[:-1] + (dim, dim))
+    def deform(g, s):
+        """``g`` overwritten by the Gram of ``s g + s (s - 1) eta (x) eta``.
+
+        The order of operations is :meth:`DHomotheticModel.metric`'s.
+        """
         for i in range(dim):
             for j in range(i, dim):
-                gij = m.metric(x, frame[..., i, :], frame[..., j, :])
-                g[..., i, j] = gij
-                g[..., j, i] = gij
+                g[..., i, j] = g[..., j, i] = s * g[..., i, j] + s * (s - 1.0) * eta[i] * eta[j]
         return g
 
-    ratio = np.sqrt(np.linalg.det(gram(deformed)) / np.linalg.det(gram(model)))
+    det_model = np.linalg.det(gram if model is base else deform(gram.copy(), model.s))
+    ratio = np.sqrt(np.linalg.det(deform(gram, deformed.s)) / det_model)
     return VolumeScalingReport(
         measured_ratio=float(np.mean(ratio)),
         expected_ratio=float(mu ** (-(model.n + 1))),
@@ -270,7 +280,7 @@ def ricci_bound_check(
     X = model.random_unit_horizontal(rng, x)
     V = deformed.random_tangents(rng, x)
 
-    rt_src, _ = ricci_transverse(model, x, X, X)
+    rt_src = _ricci_transverse_trace(model, x, X, X)
     needed = t * (2.0 * model.n + 2.0) * model.metric(x, X, X)
     pre_slack = float(np.min(rt_src - needed))
     if pre_slack < -1e-8:
@@ -284,7 +294,7 @@ def ricci_bound_check(
     xi_mu = deformed.reeb(x)
     mixed = ricci(deformed, x, V, xi_mu) - 2.0 * deformed.n * deformed.metric(x, V, xi_mu)
 
-    rt_mu, _ = ricci_transverse(deformed, x, X, X)
+    rt_mu = _ricci_transverse_trace(deformed, x, X, X)
 
     return RicciBoundReport(
         t=float(t),

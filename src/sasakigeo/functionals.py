@@ -245,10 +245,12 @@ def j_consistency(
     The closed form pairs the endpoint difference with the start measure and
     subtracts L.
     """
-    value = functional_J(phi_a, phi_b, path)
-    grid = path.grid
-    closed = grid.mean((phi_b.values - phi_a.values) * phi_a.u()) - functional_L(path)
-    return value, closed
+    return functional_J(phi_a, phi_b, path), _j_closed_form(phi_a, phi_b, functional_L(path))
+
+
+def _j_closed_form(phi_a: BasicPotential, phi_b: BasicPotential, L: float) -> float:
+    """J from the value ``L`` of :func:`functional_L` on a path from ``phi_a`` to ``phi_b``."""
+    return phi_a.grid.mean((phi_b.values - phi_a.values) * phi_a.u()) - L
 
 
 def functional_M(path: PotentialPath, calibration: float = 0.5) -> float:
@@ -299,19 +301,17 @@ def ij_derivative_check(path: PotentialPath) -> float:
     base = path.start
     if float(np.max(np.abs(base.box0()))) > 1e-10:
         raise ValueError("derivative check requires a constant start potential")
-    path.require_positive()
+    # each node's density, formed once and checked positive
+    us = [_positive_at(t, phi.u()) for t, phi in zip(seg.ts, seg.phis)]
 
-    u_a = base.u()
+    u_a = us[0]
     # running L over the segment (trapezoid prefix sums), then J closed form
-    l_nodes = np.array(
-        [grid.mean(dot.values * phi.u()) for phi, dot in zip(seg.phis, seg.phidots)]
-    )
+    l_nodes = np.array([grid.mean(dot.values * u_t) for u_t, dot in zip(us, seg.phidots)])
     l_cum = np.concatenate([[0.0], _cumulative_trapezoid(l_nodes, seg.ts)])
     f = np.empty(seg.ts.shape[0])
     rhs = np.empty(seg.ts.shape[0])
-    for j, (phi, dot) in enumerate(zip(seg.phis, seg.phidots)):
+    for j, (phi, dot, u_t) in enumerate(zip(seg.phis, seg.phidots, us)):
         psi = phi.values - base.values
-        u_t = phi.u()
         i_t = grid.mean(psi * (u_a - u_t))
         j_t = grid.mean(psi * u_a) - l_cum[j]
         f[j] = i_t - j_t
@@ -404,7 +404,8 @@ def functional_report(grid: S2Grid, phi: BasicPotential, nodes: int = 33) -> Fun
     L = functional_L(straight)
     L2 = functional_L(curved)
     I = functional_I(zero, phi)
-    J, J_closed = j_consistency(zero, phi, straight)
+    J = functional_J(zero, phi, straight)
+    J_closed = _j_closed_form(zero, phi, L)
     M = functional_M(straight)
     chain_lower = 2.0 * (I - J) - I  # (n+1)(I-J) - I >= 0
     chain_upper = I - 2.0 * (I - J)  # n I - (n+1)(I-J) >= 0

@@ -692,7 +692,12 @@ def _pair_search(model, p, q, cfg):
         res = float(model.constraint_residual(x))
         if res > 1e-9:
             raise ValueError(f"endpoint off the constraint set (residual {res:.3e})")
-    if float(np.linalg.norm(p - q)) <= 1e-14:
+    with np.errstate(over="ignore"):
+        separation = float(np.linalg.norm(p - q))
+    # the scan's parabolic stencils double squared distances of this size
+    if not math.isfinite(2.0 * separation * separation):
+        raise ValueError("endpoints too far apart: the search's squared distances overflow")
+    if separation <= 1e-14:
         return ShootingResult("converged", 0.0, None, 0.0, None, False, cfg.alpha0_max, False, 0)
 
     t_max = cfg.resolved_t_max(model)
@@ -944,7 +949,8 @@ def _refine_seed(chart, q, c, a0, t_seed, cfg, t_max):
         trial_a = np.clip(a0 + halvings * delta[-2], -cap, cap)
         trial_t = t_at + halvings * delta[-1]
         X = yield "endpoints", (chart(trial_c, trial_a), trial_t)
-        trial_miss = np.linalg.norm(X - q, axis=-1)
+        with np.errstate(over="ignore"):  # a far-off trial's miss overflows to inf: never better
+            trial_miss = np.linalg.norm(X - q, axis=-1)
         better = (trial_t > 0.0) & (trial_t <= t_max) & (trial_miss < miss)
         if not better.any():
             stalled = miss > cfg.hit_tol

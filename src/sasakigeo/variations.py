@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SasakiModel, ricci_transverse, transverse_curvature
+from .core import SasakiModel, _ricci_transverse_eq, transverse_curvature
 from .numdiff import _simpson, path_derivative
 from .subriemannian import GeodesicPath, _myers_bound
 
@@ -454,7 +454,7 @@ def check_variation_identities(
 
 def _myers_integrand(model: SasakiModel, path: GeodesicPath) -> np.ndarray:
     w, h = _sine_profile(path.t, float(path.t[-1]))
-    _, ric_t = ricci_transverse(model, path.points, path.velocities, path.velocities)
+    ric_t = _ricci_transverse_eq(model, path.points, path.velocities, path.velocities)
     return h**2 * (w**2 * (2 * model.n - 1) - ric_t)
 
 

@@ -119,6 +119,50 @@ class TestExitCodes:
         assert code == EXIT_BUDGET
         assert parse_json(out)["estimate"] is None
 
+    def test_vector_with_leading_minus_is_a_value(self, capsys):
+        # "--to -1,0,0,0" used to fail with "argument --to: expected one
+        # argument"; only "--to=-1,0,0,0" worked
+        reports = []
+        for to in (["--to", "-1,0,0,0"], ["--to=-1,0,0,0"]):
+            code, out, _ = run(capsys, "cc-distance", "--from", "1,0,0,0", *to)
+            assert code == EXIT_PASS
+            payload = parse_json(out)
+            payload.pop("timestamp")
+            reports.append(payload)
+        assert reports[0] == reports[1]
+        assert abs(reports[0]["distance"] - math.pi) < 1e-12
+        code, out, _ = run(capsys, "cc-distance", "--from", "-1,0,0,0", "--to", "1,0,0,0")
+        assert code == EXIT_PASS
+        assert abs(parse_json(out)["distance"] - math.pi) < 1e-12
+        code, out, _ = run(
+            capsys, "geodesic", "--point", "0,0,-1,0", "--direction", "-1,0,0,0", "--t-end", "1"
+        )
+        assert code == EXIT_PASS
+        assert parse_json(out)["equation_residual"] < 1e-6
+
+    def test_unknown_flag_still_returns_one(self, capsys):
+        base = ["cc-distance", "--from", "1,0,0,0", "--to", "-1,0,0,0"]
+        code, out, err = run(capsys, *base, "--bogus")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "unrecognized arguments: --bogus" in err
+        code, out, err = run(capsys, "cc-distance", "--from", "1,0,0,0", "--to", "-x")
+        assert code == EXIT_USAGE
+        assert "argument --to: expected one argument" in err
+
+    def test_overflowing_separation_returns_one(self, capsys):
+        # used to print overflow warnings and exit 1 on an inf in the JSON
+        for to in ("1e300,0,0", "1e154,0,0"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code, out, err = run(
+                    capsys, "cc-distance", "--model", "heisenberg", "--from", "0,0,0", "--to", to
+                )
+            assert code == EXIT_USAGE, to
+            assert out == ""
+            assert "endpoints too far apart: the search's squared distances overflow" in err, err
+            assert "Traceback" not in err
+
     def test_wrong_dimension_returns_one(self, capsys):
         code, _, err = run(
             capsys, "cc-distance", "--model", "heisenberg", "--from", "0,0",

@@ -102,6 +102,61 @@ class TestCurvatureSymmetries:
         assert float(np.max(np.abs(val - 1.0))) < 1e-9
 
 
+# Factors from the smallest subnormals to the largest doubles: their products
+# underflow to signed zeros and overflow to infinities and NaNs.
+MAGNITUDES = np.array([0.0, -0.0, 1e-310, -1e-310, 1e-300, -1.0, 1.0, 3.7, -1e150, 1e308, -1e308])
+COLUMN_ROWS = core._COLUMN_SUM_ROWS
+
+
+def assert_dot_bits(u, v):
+    """``core._dot(u, v)`` equals numpy's reduce of the product bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = np.asarray(core._dot(u, v))
+        want = np.asarray(np.add.reduce(u * v, axis=-1))
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestColumnSumDot:
+    """Wide batches sum the product's columns; the bits stay numpy's reduce."""
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_rows_on_both_sides_of_the_threshold(self, k):
+        rng = np.random.default_rng(k)
+        for rows in (1, 2, COLUMN_ROWS - 1, COLUMN_ROWS, COLUMN_ROWS + 1, 20000):
+            u = rng.choice(MAGNITUDES, (rows, k)) * rng.uniform(0.5, 1.0, (rows, k))
+            v = rng.choice(MAGNITUDES, (rows, k))
+            assert_dot_bits(u, v)
+            assert_dot_bits(u, v[0])  # one vector against every row
+        assert_dot_bits(u[0], v[0])
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_stacks(self, k):
+        rng = np.random.default_rng(100 + k)
+        for shape in ((2, COLUMN_ROWS // 2 - 1), (2, COLUMN_ROWS // 2), (3, 7, 40), (5, 1, COLUMN_ROWS)):
+            u = rng.choice(MAGNITUDES, shape + (k,))
+            v = rng.standard_normal(shape + (k,))
+            assert_dot_bits(u, v)
+
+    @pytest.mark.parametrize("key", MODEL_KEYS)
+    def test_strided_frame_slices(self, key):
+        model = models.get_model(key)
+        x = model.random_points(np.random.default_rng(4), 2 * COLUMN_ROWS)
+        frame = model.orthonormal_frame(x)
+        for i in range(model.dim):
+            for j in range(model.dim):
+                assert_dot_bits(frame[..., i, :], frame[..., j, :])
+            assert_dot_bits(frame[..., i, :], x)
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_rows_of_negative_zeros_sum_to_positive_zero(self, k):
+        # the reduce starts from +0.0, so -0.0 + ... + -0.0 reads +0.0
+        u = np.full((COLUMN_ROWS + 3, k), -0.0)
+        v = np.ones((COLUMN_ROWS + 3, k))
+        assert_dot_bits(u, v)
+        assert not np.signbit(core._dot(u, v)).any()
+
+
 class TestRicciRoutes:
     """The transverse Ricci tensor has two independent evaluation routes:
     a frame trace of the transverse curvature, and the full Ricci plus twice
@@ -115,6 +170,28 @@ class TestRicciRoutes:
         X = model.random_unit_horizontal(rng, x)
         trace_route, eq_route = core.ricci_transverse(model, x, X, X)
         assert float(np.max(np.abs(trace_route - eq_route))) < 1e-6
+
+    @pytest.mark.parametrize("key", MODEL_KEYS + ["s3-dhom:2.0"])
+    def test_each_route_has_one_helper(self, key, monkeypatch):
+        model = models.get_model(key)
+        rng = np.random.default_rng(17)
+        x = model.random_points(rng, 2 * COLUMN_ROWS)
+        X = model.random_unit_horizontal(rng, x)
+        Y = model.random_unit_horizontal(rng, x)
+        trace_route, eq_route = core.ricci_transverse(model, x, X, Y)
+        assert trace_route.tobytes() == core._ricci_transverse_trace(model, x, X, Y).tobytes()
+        assert eq_route.tobytes() == core._ricci_transverse_eq(model, x, X, Y).tobytes()
+
+        def unread(*args):
+            raise AssertionError("a route nobody reads was computed")
+
+        # the trace route never forms the full Ricci, the equation route
+        # never the transverse curvature
+        monkeypatch.setattr(core, "ricci", unread)
+        assert core._ricci_transverse_trace(model, x, X, Y).tobytes() == trace_route.tobytes()
+        monkeypatch.undo()
+        monkeypatch.setattr(core, "transverse_curvature", unread)
+        assert core._ricci_transverse_eq(model, x, X, Y).tobytes() == eq_route.tobytes()
 
     def test_sphere_transverse_einstein_constants(self, s3, s5):
         # Ric^T = (2n + 2) g^T on the round spheres: 4 for n=1, 6 for n=2.

@@ -1,11 +1,13 @@
 """Energy functionals on transverse potentials: exactness, inequalities, cocycle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sasakigeo import functionals as fn, quotient as qt
-from sasakigeo.numdiff import _simpson as simpson
+from sasakigeo.numdiff import _cumulative_trapezoid, _simpson as simpson, path_derivative
 
 
 @pytest.fixture(scope="module")
@@ -273,3 +275,79 @@ class TestReport:
         assert report.chain_slack_upper > -1e-7
         assert report.I >= 0.0
         assert abs(report.J - 0.5 * report.I) < 1e-10
+
+
+def _functional_report_reference(grid, phi, nodes=33):
+    """The report with L integrated again inside ``j_consistency``, as it was."""
+    zero = qt.BasicPotential.zero(grid)
+    straight = fn.linear_path(zero, phi, nodes)
+    curved = fn.power_path(zero, phi, 2.0, nodes)
+    L = fn.functional_L(straight)
+    L2 = fn.functional_L(curved)
+    I = fn.functional_I(zero, phi)
+    J = fn.functional_J(zero, phi, straight)
+    J_closed = grid.mean((phi.values - zero.values) * zero.u()) - fn.functional_L(straight)
+    M = fn.functional_M(straight)
+    return fn.FunctionalReport(
+        L=L,
+        M=M,
+        I=I,
+        J=J,
+        path_independence_residual=abs(L - L2),
+        j_closed_form_residual=abs(J - J_closed),
+        chain_slack_lower=2.0 * (I - J) - I,
+        chain_slack_upper=I - 2.0 * (I - J),
+    )
+
+
+def _ij_derivative_reference(path):
+    """The I - J derivative residual with each density formed three times, as it was."""
+    seg = path.segments[0]
+    grid = path.grid
+    base = path.start
+    path.require_positive()
+    u_a = base.u()
+    l_nodes = np.array(
+        [grid.mean(dot.values * phi.u()) for phi, dot in zip(seg.phis, seg.phidots)]
+    )
+    l_cum = np.concatenate([[0.0], _cumulative_trapezoid(l_nodes, seg.ts)])
+    f = np.empty(seg.ts.shape[0])
+    rhs = np.empty(seg.ts.shape[0])
+    for j, (phi, dot) in enumerate(zip(seg.phis, seg.phidots)):
+        psi = phi.values - base.values
+        u_t = phi.u()
+        i_t = grid.mean(psi * (u_a - u_t))
+        j_t = grid.mean(psi * u_a) - l_cum[j]
+        f[j] = i_t - j_t
+        rhs[j] = grid.mean(phi.values * dot.box0())
+    lhs = path_derivative(f, float(seg.ts[1] - seg.ts[0]))
+    return float(np.max(np.abs(lhs - rhs)[2:-2]))
+
+
+class TestSharedNodeTerms:
+    """L is integrated once per report and each node's density formed once."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_report_equals_the_reference(self, grid, seed, monkeypatch):
+        phi = qt.random_potential(grid, np.random.default_rng(seed))
+        want = _functional_report_reference(grid, phi)
+        paths = []
+        integrate = fn.functional_L
+        monkeypatch.setattr(fn, "functional_L", lambda path: paths.append(path) or integrate(path))
+        got = fn.functional_report(grid, phi)
+        assert len(paths) == 2  # the straight and the curved path, each once
+        got, want = dataclasses.astuple(got), dataclasses.astuple(want)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_ij_derivative_equals_the_reference(self, grid, zero, seed, monkeypatch):
+        phi = qt.random_potential(grid, np.random.default_rng(seed))
+        for path in (fn.linear_path(zero, phi), fn.power_path(zero, phi, 2.0, 33)):
+            want = _ij_derivative_reference(path)
+            calls = []
+            u = qt.BasicPotential.u
+            monkeypatch.setattr(qt.BasicPotential, "u", lambda self: calls.append(1) or u(self))
+            got = fn.ij_derivative_check(path)
+            monkeypatch.undo()
+            assert len(calls) == path.node_count
+            assert np.array(got).tobytes() == np.array(want).tobytes()

@@ -878,6 +878,19 @@ class TestDistanceOracles:
         with pytest.raises(ValueError, match="non-finite"):
             sr.cc_distance(heis, np.array([np.nan, 0, 0]), np.array([1.0, 0, 0]))
 
+    def test_overflowing_separation_rejected(self, heis):
+        # the squared separation overflows (1e300), or its double in the
+        # scan's stencils does (1e154): refused before any warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for far in (1e300, 1e154, -1e154):
+                with pytest.raises(ValueError, match="squared distances overflow"):
+                    sr.cc_distance(heis, np.zeros(3), np.array([far, 0.0, 0.0]))
+            # far but in range: the search runs out of budget, and the
+            # trial misses that overflow to inf leak no warning
+            result = sr.cc_distance(heis, np.zeros(3), np.array([1e100, 0.0, 0.0]))
+        assert result.status == "budget-exhausted"
+
     def test_determinism(self, heis):
         cfg = sr.ShootingConfig(seed=9)
         a = sr.cc_distance(heis, np.zeros(3), np.array([0.4, 0.3, 0.2]), cfg)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from sasakigeo import dhomothety as dh, models, subriemannian as sr, variations as va
+from sasakigeo import core, dhomothety as dh, models, subriemannian as sr, variations as va
 
 
 def unit_speed_path(model, seed, t_end=2.0, steps=2000, a0=0.6):
@@ -217,3 +217,30 @@ class TestMyersClosedForm:
         # beyond the bound the phi-Reeb field shortens the geodesic
         e2 = va.second_variation(model, path, va.phi_reeb_field(model, path))
         assert e2 < 0.0
+
+
+def _myers_integrand_reference(model, path):
+    """The certificate integrand read off both routes of ``ricci_transverse``, as it was."""
+    w, h = va._sine_profile(path.t, float(path.t[-1]))
+    _, ric_t = core.ricci_transverse(model, path.points, path.velocities, path.velocities)
+    return h**2 * (w**2 * (2 * model.n - 1) - ric_t)
+
+
+class TestMyersIntegrandRoute:
+    """The integrand computes only the ``Ric + 2 g`` route it reads."""
+
+    @pytest.mark.parametrize("key", ["s3", "s5", "heisenberg", "s3-dhom:2.0"])
+    def test_equals_the_reference(self, key, monkeypatch):
+        model = models.get_model(key)
+        # 1201 samples sum the dot products by columns, 41 reduce them
+        for steps in (1200, 40):
+            path = unit_speed_path(model, 5, t_end=1.2, steps=steps)
+            want = _myers_integrand_reference(model, path)
+
+            def unread(*args):
+                raise AssertionError("the integrand computed the trace route it never reads")
+
+            monkeypatch.setattr(core, "transverse_curvature", unread)
+            got = va._myers_integrand(model, path)
+            monkeypatch.undo()
+            assert got.tobytes() == want.tobytes()
